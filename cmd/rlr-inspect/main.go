@@ -11,7 +11,7 @@
 //
 // The `policy` subcommand dumps a policy file: format version, tree
 // parameters, which inference backends the bundle carries (MLP,
-// distilled branch table, quantized MLP) with their shapes and sizes,
+// distilled branch table) with their shapes and sizes,
 // and the file's sha256 — the quickest way to check what a serve
 // deployment will actually load.
 //
@@ -115,7 +115,7 @@ func main() {
 
 // policyMain is the `rlr-inspect policy` subcommand: a read-only report
 // of what a policy file carries — backends, shapes, distillation depth,
-// quantization scales, and a content digest for deployment bookkeeping.
+// and a content digest for deployment bookkeeping.
 func policyMain(args []string) {
 	fs := flag.NewFlagSet("rlr-inspect policy", flag.ExitOnError)
 	fs.Parse(args)
@@ -147,7 +147,7 @@ func policyMain(args []string) {
 	fmt.Printf("padded state:  %v\n", bundle.PaddedState)
 	fmt.Printf("split by area: %v\n", bundle.SplitSortByArea)
 
-	describeOp := func(op string, net *mlp.Network, tbl *policy.Table, q *mlp.QuantNetwork) {
+	describeOp := func(op string, net *mlp.Network, tbl *policy.Table) {
 		if net == nil {
 			fmt.Printf("%-7s        heuristic (no network)\n", op+":")
 			return
@@ -157,24 +157,13 @@ func policyMain(args []string) {
 			fmt.Printf("               table depth %d (%d/%d live internal nodes, %d leaves, %d actions)\n",
 				tbl.Depth, tbl.InternalNodes(), len(tbl.Thresh), len(tbl.Leaf), tbl.Actions)
 		}
-		if q != nil {
-			scales := make([]string, len(q.Layers))
-			for i, l := range q.Layers {
-				scales[i] = fmt.Sprintf("%.3g", l.WScale)
-			}
-			fmt.Printf("               quant int16 %d->%d (%d params, w-scales %s)\n",
-				q.InputSize(), q.OutputSize(), q.NumParams(), strings.Join(scales, " "))
-		}
 	}
-	describeOp("choose", bundle.ChooseNet, bundle.ChooseTable, bundle.ChooseQuant)
-	describeOp("split", bundle.SplitNet, bundle.SplitTable, bundle.SplitQuant)
+	describeOp("choose", bundle.ChooseNet, bundle.ChooseTable)
+	describeOp("split", bundle.SplitNet, bundle.SplitTable)
 
 	kinds := []string{"mlp"}
 	if bundle.ChooseTable != nil || bundle.SplitTable != nil {
 		kinds = append(kinds, "table")
-	}
-	if bundle.ChooseQuant != nil || bundle.SplitQuant != nil {
-		kinds = append(kinds, "qmlp")
 	}
 	fmt.Printf("backends:      %s\n", strings.Join(kinds, " "))
 }

@@ -11,7 +11,7 @@
 //
 // Index kinds for -index: rtree (Guttman), rstar, rrstar. A -policy file
 // overrides -index; -policy-kind picks the inference backend among the
-// ones the policy file carries (table and qmlp need a bundle written by
+// ones the policy file carries (table needs a bundle written by
 // rlr-train -distill).
 package main
 
@@ -29,7 +29,7 @@ func main() {
 	var (
 		dataPath    = flag.String("data", "", "dataset CSV (required)")
 		policyPath  = flag.String("policy", "", "trained RLR-Tree policy JSON")
-		policyKind  = flag.String("policy-kind", "auto", "inference backend with -policy: auto, mlp, table, qmlp")
+		policyKind  = flag.String("policy-kind", "auto", "inference backend with -policy: auto, mlp, table")
 		indexKind   = flag.String("index", "rtree", "heuristic index when no policy: rtree, rstar, rrstar")
 		rangeQ      = flag.String("range", "", "one range query: minx,miny,maxx,maxy")
 		knnQ        = flag.String("knn", "", "one KNN query point: x,y")

@@ -11,8 +11,8 @@
 //	rlr-serve -addr :8080 -snapshot tree.gob -wal-dir ./wal -wal-fsync always
 //
 // With -policy the insert path decides through a hot-swappable policy
-// engine; -policy-kind picks the inference backend (auto, mlp, table,
-// qmlp — table/qmlp need a bundle distilled with rlr-train -distill).
+// engine; -policy-kind picks the inference backend (auto, mlp, table —
+// table needs a bundle distilled with rlr-train -distill).
 // POST /policy swaps the backend (and optionally reloads the bundle
 // from disk) without a restart, and /stats grows a "policy" section
 // with per-backend insert counters.
@@ -32,9 +32,9 @@
 // queries probe ~1–2 shards instead of all N), and -rebalance-every
 // enables background hot-cell migration that adapts the cell→shard
 // assignment to the observed workload. /stats then carries a per-shard
-// breakdown plus the fan-out counters, and snapshots use the sharded
-// container format (a -shards server cannot restore a single-tree
-// snapshot file, or vice versa).
+// breakdown plus the fan-out counters, and the snapshot records that it
+// holds a sharded index (a -shards server refuses a single-tree
+// snapshot file, and vice versa, with a "snapshot kind mismatch" error).
 //
 // On startup the server restores the snapshot file when it exists, so a
 // restart resumes with the indexed data intact; on SIGINT/SIGTERM it
@@ -69,7 +69,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		policyPath  = flag.String("policy", "", "trained RLR-Tree policy JSON")
-		policyKind  = flag.String("policy-kind", "auto", "inference backend with -policy: auto, mlp, table, qmlp")
+		policyKind  = flag.String("policy-kind", "auto", "inference backend with -policy: auto, mlp, table")
 		indexKind   = flag.String("index", "rtree", "heuristic index when no policy: rtree, rstar, rrstar")
 		maxE        = flag.Int("max-entries", 50, "node capacity M")
 		minE        = flag.Int("min-entries", 20, "minimum node fill m")
@@ -105,54 +105,44 @@ func main() {
 	if hot != nil {
 		logger.Printf("policy: %s backend (choose=%s split=%s)", hot.Kind(), hot.Stats().ChooseBackend, hot.Stats().SplitBackend)
 	}
+	// One restore path for both index kinds: the snapshot's header says
+	// which it holds, and LoadSnapshot refuses a file whose kind
+	// disagrees with -shards.
+	sopts := shard.Options{Shards: *shards, Tree: opts}
 	var (
 		index      server.Index
 		snapLSN    uint64 // WAL LSN the restored snapshot covers (0: replay all)
 		keyedPairs []collection.KeyRect
 	)
-	if *shards > 1 {
-		sopts := shard.Options{Shards: *shards, Tree: opts}
-		var st *shard.ShardedTree
-		if *snapPath != "" {
-			restored, pairs, lsn, err := server.LoadKeyedShardedSnapshotLSN(*snapPath, sopts)
-			switch {
-			case err == nil:
-				st, snapLSN, keyedPairs = restored, lsn, pairs
-				logger.Printf("restored %d objects (%d keyed) from %s (%d shards)", st.Len(), len(pairs), *snapPath, st.NumShards())
-			case errors.Is(err, os.ErrNotExist):
-				logger.Printf("no snapshot at %s, starting empty", *snapPath)
-			default:
-				logger.Fatal(err)
+	if *snapPath != "" {
+		index, keyedPairs, snapLSN, err = server.LoadSnapshot(*snapPath, sopts)
+		switch {
+		case err == nil:
+			logger.Printf("restored %d objects (%d keyed) from %s", index.Len(), len(keyedPairs), *snapPath)
+		case errors.Is(err, os.ErrNotExist):
+			logger.Printf("no snapshot at %s, starting empty", *snapPath)
+		default:
+			logger.Fatal(err)
+		}
+	}
+	if index == nil {
+		if *shards > 1 {
+			index, err = shard.New(sopts)
+		} else {
+			var tree *rtree.Tree
+			if tree, err = rtree.NewChecked(opts); err == nil {
+				index = rtree.NewConcurrent(tree)
 			}
 		}
-		if st == nil {
-			if st, err = shard.New(sopts); err != nil {
-				logger.Fatal(err)
-			}
-		}
-		name = fmt.Sprintf("%s[%d shards]", name, st.NumShards())
-		index = st
-	} else {
-		tree, err := rtree.NewChecked(opts)
 		if err != nil {
 			logger.Fatal(err)
 		}
-		if *snapPath != "" {
-			restored, pairs, lsn, err := server.LoadKeyedSnapshotLSN(*snapPath, opts)
-			switch {
-			case err == nil:
-				tree, snapLSN, keyedPairs = restored, lsn, pairs
-				logger.Printf("restored %d objects (%d keyed) from %s (height %d)", tree.Len(), len(pairs), *snapPath, tree.Height())
-			case errors.Is(err, os.ErrNotExist):
-				logger.Printf("no snapshot at %s, starting empty", *snapPath)
-			default:
-				logger.Fatal(err)
-			}
-		}
-		index = rtree.NewConcurrent(tree)
+	}
+	if st, ok := index.(*shard.ShardedTree); ok {
+		name = fmt.Sprintf("%s[%d shards]", name, st.NumShards())
 	}
 
-	// The keyed layer restores from the snapshot's keyed section over the
+	// The keyed layer restores from the snapshot's key map over the
 	// restored index, then WAL replay applies keyed records through it.
 	coll := collection.Restore(index, keyedPairs)
 

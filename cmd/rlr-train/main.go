@@ -12,11 +12,11 @@
 // only), combined (alternating training of both agents; the default).
 //
 // With -distill the trained DQN is additionally compiled into a
-// branch-table policy and a quantized fixed-point MLP, and the output
-// becomes a v2 policy bundle carrying all backends; rlr-serve selects
-// among them with -policy-kind. The printed agreement is the fraction
-// of held-out states on which each compiled backend picks the same
-// action as the MLP it was distilled from.
+// branch-table policy, and the output becomes a v2 policy bundle
+// carrying both backends; rlr-serve selects between them with
+// -policy-kind. The printed agreement is the fraction of fitted states
+// on which the table picks the same action as the MLP it was distilled
+// from.
 package main
 
 import (
@@ -48,7 +48,7 @@ func main() {
 		maxE        = flag.Int("max-entries", 50, "node capacity M")
 		minE        = flag.Int("min-entries", 20, "minimum node fill m")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for reward evaluation (1 = sequential; policy is identical either way)")
-		distill     = flag.Bool("distill", false, "distill the trained DQN into branch-table and quantized backends (writes a v2 bundle)")
+		distill     = flag.Bool("distill", false, "distill the trained DQN into a branch-table backend (writes a v2 bundle)")
 		distillDep  = flag.Int("distill-depth", 0, "max branch-table depth (0 = distiller default)")
 		distillSamp = flag.Int("distill-samples", 0, "synthetic states per operation for distillation (0 = distiller default)")
 		quiet       = flag.Bool("quiet", false, "suppress progress output")
@@ -118,11 +118,11 @@ func main() {
 		if err := bundle.Save(*out); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "distilled: choose table agreement %.4f (quant %.4f) over %d states\n",
-			dr.ChooseAgreement, dr.ChooseQuantAgreement, dr.ChooseStates)
+		fmt.Fprintf(os.Stderr, "distilled: choose table agreement %.4f over %d states\n",
+			dr.ChooseAgreement, dr.ChooseStates)
 		if pol.SplitNet != nil {
-			fmt.Fprintf(os.Stderr, "distilled: split table agreement %.4f (quant %.4f) over %d states\n",
-				dr.SplitAgreement, dr.SplitQuantAgreement, dr.SplitStates)
+			fmt.Fprintf(os.Stderr, "distilled: split table agreement %.4f over %d states\n",
+				dr.SplitAgreement, dr.SplitStates)
 		}
 	} else if err := pol.Save(*out); err != nil {
 		fatal(err)

@@ -1,13 +1,8 @@
 // Package btree implements an in-memory B+-tree over uint64 keys with
 // duplicate support and ordered range scans.
 //
-// It is the substrate of the mapping-based spatial index family the
-// RLR-Tree paper's related work describes: "the spatial dimensions are
-// transformed to 1-dimensional space based on a space filling curve, and
-// then the data objects can be ordered sequentially and indexed by a
-// B+-Tree" (the design Microsoft SQL Server ships). internal/zindex builds
-// that index on top of this package; both exist so the R-Tree variants can
-// be compared against a representative of the third index category.
+// It is the key map of internal/collection: keyed objects are stored
+// under the hash of their key string, and hash collisions share a slot.
 package btree
 
 import (

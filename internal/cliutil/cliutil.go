@@ -38,7 +38,7 @@ func IndexOptions(policyPath, indexKind string, maxE, minE int) (rtree.Options, 
 }
 
 // IndexOptionsPolicy is IndexOptions with an explicit inference-backend
-// kind for the policy path ("auto", "mlp", "table", or "qmlp" — see
+// kind for the policy path ("auto", "mlp" or "table" — see
 // core.PolicyKinds). When policyPath is set, the returned HotPolicy serves
 // the options' strategies and supports atomic backend swaps while inserts
 // are in flight; it is nil for heuristic indexes. Loading a policy file

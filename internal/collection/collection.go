@@ -113,8 +113,28 @@ func New(ix Spatial) *Collection {
 	return &Collection{ix: ix, keys: btree.New(0)}
 }
 
+// KeyRect is one (key, position) pair of the key map, the unit a
+// snapshot persists it in.
+type KeyRect struct {
+	Key  string
+	Rect geom.Rect
+}
+
+// Pairs captures the key map in key-hash order, the input to Restore.
+// Consistent with the index only if no mutations run concurrently — the
+// server captures both under its snapshot lock, which excludes every
+// write.
+func (c *Collection) Pairs() []KeyRect {
+	pairs := make([]KeyRect, 0, c.Len())
+	c.Each(func(key string, r geom.Rect) bool {
+		pairs = append(pairs, KeyRect{Key: key, Rect: r})
+		return true
+	})
+	return pairs
+}
+
 // Restore returns a collection over ix whose key map is pre-filled with
-// pairs — the keyed section of a snapshot — WITHOUT inserting anything
+// pairs — the key map of a snapshot — WITHOUT inserting anything
 // into ix, whose snapshot restore already holds the objects. The two
 // halves must come from the same snapshot or Validate will fail.
 func Restore(ix Spatial, pairs []KeyRect) *Collection {

@@ -1,9 +1,7 @@
 package collection
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"testing"
 
 	"github.com/rlr-tree/rlrtree/internal/geom"
@@ -84,29 +82,23 @@ func TestManyKeysValidate(t *testing.T) {
 	}
 }
 
-func TestSnapshotSectionRoundTrip(t *testing.T) {
-	c := New(newTestIndex())
+// TestPairsRestoreRoundTrip proves Pairs + a clone of the index are what
+// Restore needs: the rebuilt collection validates against the cloned
+// index and answers every Get like the original. Pairs is a capture — a
+// later Set does not leak into it.
+func TestPairsRestoreRoundTrip(t *testing.T) {
+	ix := newTestIndex().(*rtree.ConcurrentTree)
+	c := New(ix)
 	for i := 0; i < 500; i++ {
 		x := float64(i)
 		c.Set(fmt.Sprintf("obj-%03d", i), geom.NewRect(x, x, x+1, x+1))
 	}
-
-	var buf bytes.Buffer
-	if err := c.EncodeSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	pairs, rest, err := ReadKeyedSection(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pairs, clone := c.Pairs(), ix.Snapshot()
+	c.Set("after", geom.NewRect(2, 2, 3, 3))
 	if len(pairs) != 500 {
-		t.Fatalf("decoded %d pairs, want 500", len(pairs))
+		t.Fatalf("captured %d pairs, want 500", len(pairs))
 	}
-	tree, err := rtree.Decode(rest, rtree.Options{MaxEntries: 16, MinEntries: 6})
-	if err != nil {
-		t.Fatalf("inner index decode after keyed section: %v", err)
-	}
-	c2 := Restore(rtree.NewConcurrent(tree), pairs)
+	c2 := Restore(rtree.NewConcurrent(clone), pairs)
 	if c2.Len() != 500 {
 		t.Fatalf("restored Len = %d, want 500", c2.Len())
 	}
@@ -120,52 +112,5 @@ func TestSnapshotSectionRoundTrip(t *testing.T) {
 		if !ok || got != want {
 			t.Fatalf("restored Get(%s) = %v %v, want %v true", key, got, ok, want)
 		}
-	}
-}
-
-// TestReadKeyedSectionLegacy proves a snapshot without a keyed section
-// (a pre-keyed server's file) passes through byte-identical.
-func TestReadKeyedSectionLegacy(t *testing.T) {
-	payload := []byte("not a keyed section, just index bytes longer than the magic")
-	pairs, rest, err := ReadKeyedSection(bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pairs != nil {
-		t.Fatalf("legacy payload decoded %d pairs", len(pairs))
-	}
-	got, err := io.ReadAll(rest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("legacy payload altered: %q", got)
-	}
-	// Shorter than the magic itself.
-	short := []byte("abc")
-	pairs, rest, err = ReadKeyedSection(bytes.NewReader(short))
-	if err != nil || pairs != nil {
-		t.Fatalf("short payload: pairs=%v err=%v", pairs, err)
-	}
-	if got, _ := io.ReadAll(rest); !bytes.Equal(got, short) {
-		t.Fatalf("short payload altered: %q", got)
-	}
-}
-
-func TestPrepareSnapshotCapturesAtCallTime(t *testing.T) {
-	c := New(newTestIndex())
-	c.Set("before", geom.NewRect(0, 0, 1, 1))
-	encode := c.PrepareSnapshot()
-	c.Set("after", geom.NewRect(2, 2, 3, 3)) // must not appear in the keyed section
-	var buf bytes.Buffer
-	if err := encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	pairs, _, err := ReadKeyedSection(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != 1 || pairs[0].Key != "before" {
-		t.Fatalf("keyed section = %+v, want only the pre-capture key", pairs)
 	}
 }

@@ -9,8 +9,7 @@ import (
 )
 
 // PolicyBundle is a Policy plus its optional distilled inference
-// artifacts: a branch-table policy and a quantized fixed-point copy per
-// operation. The bundle — not the Policy — carries them so the Policy
+// artifacts: a branch-table policy per operation. The bundle — not the Policy — carries them so the Policy
 // struct's gob encoding (pinned by the golden-policy digest) is untouched.
 // Artifacts are derived views of the networks: LoadBundle validates that
 // each one's shape matches the network it was distilled from.
@@ -20,10 +19,6 @@ type PolicyBundle struct {
 	// (policy.KindTable), nil when not distilled.
 	ChooseTable *policy.Table
 	SplitTable  *policy.Table
-	// ChooseQuant / SplitQuant are int16 fixed-point copies of the
-	// networks (policy.KindQuant), nil when not distilled.
-	ChooseQuant *mlp.QuantNetwork
-	SplitQuant  *mlp.QuantNetwork
 }
 
 // Validate extends Policy.Validate with artifact shape checks.
@@ -34,39 +29,31 @@ func (b *PolicyBundle) Validate() error {
 	if err := b.Policy.Validate(); err != nil {
 		return err
 	}
-	check := func(op string, net *mlp.Network, tbl *policy.Table, q *mlp.QuantNetwork) error {
-		if tbl != nil {
-			if net == nil {
-				return fmt.Errorf("core: bundle has a %s table but no %s network", op, op)
-			}
-			if err := tbl.Validate(); err != nil {
-				return fmt.Errorf("core: %s table: %w", op, err)
-			}
-			if tbl.Dim != net.InputSize() || tbl.Actions != net.OutputSize() {
-				return fmt.Errorf("core: %s table shape %dx%d does not match network %dx%d",
-					op, tbl.Dim, tbl.Actions, net.InputSize(), net.OutputSize())
-			}
+	check := func(op string, net *mlp.Network, tbl *policy.Table) error {
+		if tbl == nil {
+			return nil
 		}
-		if q != nil {
-			if net == nil {
-				return fmt.Errorf("core: bundle has a %s quant network but no %s network", op, op)
-			}
-			if q.InputSize() != net.InputSize() || q.OutputSize() != net.OutputSize() {
-				return fmt.Errorf("core: %s quant shape %dx%d does not match network %dx%d",
-					op, q.InputSize(), q.OutputSize(), net.InputSize(), net.OutputSize())
-			}
+		if net == nil {
+			return fmt.Errorf("core: bundle has a %s table but no %s network", op, op)
+		}
+		if err := tbl.Validate(); err != nil {
+			return fmt.Errorf("core: %s table: %w", op, err)
+		}
+		if tbl.Dim != net.InputSize() || tbl.Actions != net.OutputSize() {
+			return fmt.Errorf("core: %s table shape %dx%d does not match network %dx%d",
+				op, tbl.Dim, tbl.Actions, net.InputSize(), net.OutputSize())
 		}
 		return nil
 	}
-	if err := check("choose", b.ChooseNet, b.ChooseTable, b.ChooseQuant); err != nil {
+	if err := check("choose", b.ChooseNet, b.ChooseTable); err != nil {
 		return err
 	}
-	return check("split", b.SplitNet, b.SplitTable, b.SplitQuant)
+	return check("split", b.SplitNet, b.SplitTable)
 }
 
 // Distilled reports whether the bundle carries any distilled artifact.
 func (b *PolicyBundle) Distilled() bool {
-	return b.ChooseTable != nil || b.SplitTable != nil || b.ChooseQuant != nil || b.SplitQuant != nil
+	return b.ChooseTable != nil || b.SplitTable != nil
 }
 
 // Save writes the bundle to path. Bundles with distilled artifacts write
@@ -89,8 +76,6 @@ func (b *PolicyBundle) Save(path string) error {
 		SplitNet:        b.SplitNet,
 		ChooseTable:     b.ChooseTable,
 		SplitTable:      b.SplitTable,
-		ChooseQuant:     b.ChooseQuant,
-		SplitQuant:      b.SplitQuant,
 	})
 }
 
@@ -114,8 +99,6 @@ func LoadBundle(path string) (*PolicyBundle, error) {
 		},
 		ChooseTable: pf.ChooseTable,
 		SplitTable:  pf.SplitTable,
-		ChooseQuant: pf.ChooseQuant,
-		SplitQuant:  pf.SplitQuant,
 	}
 	if err := b.Validate(); err != nil {
 		return nil, err
@@ -126,7 +109,7 @@ func LoadBundle(path string) (*PolicyBundle, error) {
 // PolicyKinds are the recognized backend selectors, in CLI order. KindAuto
 // picks the reference MLP when a network exists (byte-identical trees to
 // pre-bundle builds); the named kinds demand their artifact.
-var PolicyKinds = []string{KindAuto, policy.KindMLP, policy.KindTable, policy.KindQuant}
+var PolicyKinds = []string{KindAuto, policy.KindMLP, policy.KindTable}
 
 // KindAuto selects the best exact backend automatically.
 const KindAuto = "auto"
@@ -141,11 +124,11 @@ func ValidPolicyKind(kind string) bool {
 	return false
 }
 
-// engine builds the inference engine of the requested kind for one
+// engineFor builds the inference engine of the requested kind for one
 // operation. A nil network yields a nil engine (heuristic fallback) for
 // every kind. Requesting a distilled kind whose artifact is missing is an
 // error — silently serving the slow path would defeat the point of asking.
-func engineFor(op, kind string, net *mlp.Network, tbl *policy.Table, q *mlp.QuantNetwork) (policy.Engine, error) {
+func engineFor(op, kind string, net *mlp.Network, tbl *policy.Table) (policy.Engine, error) {
 	if net == nil {
 		return nil, nil
 	}
@@ -157,11 +140,6 @@ func engineFor(op, kind string, net *mlp.Network, tbl *policy.Table, q *mlp.Quan
 			return nil, fmt.Errorf("core: policy has no distilled %s table (re-run rlr-train with -distill)", op)
 		}
 		return tbl, nil
-	case policy.KindQuant:
-		if q == nil {
-			return nil, fmt.Errorf("core: policy has no quantized %s network (re-run rlr-train with -distill)", op)
-		}
-		return policy.NewQuant(q), nil
 	default:
 		return nil, fmt.Errorf("core: unknown policy kind %q (have %v)", kind, PolicyKinds)
 	}
@@ -170,13 +148,13 @@ func engineFor(op, kind string, net *mlp.Network, tbl *policy.Table, q *mlp.Quan
 // ChooseEngine returns the ChooseSubtree engine for kind (nil when the
 // bundle has no choose network).
 func (b *PolicyBundle) ChooseEngine(kind string) (policy.Engine, error) {
-	return engineFor("choose", kind, b.ChooseNet, b.ChooseTable, b.ChooseQuant)
+	return engineFor("choose", kind, b.ChooseNet, b.ChooseTable)
 }
 
 // SplitEngine returns the Split engine for kind (nil when the bundle has
 // no split network).
 func (b *PolicyBundle) SplitEngine(kind string) (policy.Engine, error) {
-	return engineFor("split", kind, b.SplitNet, b.SplitTable, b.SplitQuant)
+	return engineFor("split", kind, b.SplitNet, b.SplitTable)
 }
 
 // NewTreeKind returns an empty tree whose insert path runs the requested

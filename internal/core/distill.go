@@ -33,8 +33,6 @@ type DistillConfig struct {
 	Data []geom.Rect
 	// Seed drives the synthetic sampler (and nothing else).
 	Seed int64
-	// NoQuantize skips building the int16 fixed-point networks.
-	NoQuantize bool
 }
 
 func (c DistillConfig) withDefaults() DistillConfig {
@@ -48,13 +46,12 @@ func (c DistillConfig) withDefaults() DistillConfig {
 }
 
 // DistillReport summarizes one distillation: how many states each fit saw
-// and the action-agreement rate of each artifact against the reference MLP
+// and the action-agreement rate of each table against the reference MLP
 // on those states. Agreement is the number rlr-train prints and the
 // parity tests bound.
 type DistillReport struct {
-	ChooseStates, SplitStates                 int
-	ChooseAgreement, SplitAgreement           float64
-	ChooseQuantAgreement, SplitQuantAgreement float64
+	ChooseStates, SplitStates       int
+	ChooseAgreement, SplitAgreement float64
 }
 
 // chooseHarvester is a SubtreeChooser that decides through an engine while
@@ -215,7 +212,10 @@ func sampleSplitState(rng *rand.Rand, k int, byArea bool, dst []float64) []float
 // distillOne fits the table for one operation from harvested + synthetic
 // states and returns it with the agreement rate on those states.
 func distillOne(net *mlp.Network, harvested []float64, dim int, sample func(*rand.Rand, []float64) []float64, cfg DistillConfig, rng *rand.Rand) (*policy.Table, float64, int, error) {
-	states := synthesize(harvested, cfg.Samples, sample, rng)
+	states := append([]float64(nil), harvested...)
+	for i := 0; i < cfg.Samples; i++ {
+		states = sample(rng, states)
+	}
 	labels := labelWithDQN(net, states, dim, cfg.Seed)
 	tbl, err := policy.Fit(states, dim, labels, net.OutputSize(), policy.FitConfig{
 		MaxDepth: cfg.MaxDepth,
@@ -228,19 +228,9 @@ func distillOne(net *mlp.Network, harvested []float64, dim int, sample func(*ran
 	return tbl, agree, len(states) / dim, nil
 }
 
-// synthesize builds the harvested+synthetic training (or evaluation) set.
-func synthesize(harvested []float64, samples int, sample func(*rand.Rand, []float64) []float64, rng *rand.Rand) []float64 {
-	states := append([]float64(nil), harvested...)
-	for i := 0; i < samples; i++ {
-		states = sample(rng, states)
-	}
-	return states
-}
-
 // Distill derives the fast inference artifacts from a trained policy: a
-// branch-table policy per operation (CART fit over DQN-labeled states) and
-// an int16 fixed-point copy of each network. The returned bundle shares
-// pol; pol itself is not modified.
+// branch-table policy per operation (CART fit over DQN-labeled states). The
+// returned bundle shares pol; pol itself is not modified.
 func Distill(pol *Policy, cfg DistillConfig) (*PolicyBundle, *DistillReport, error) {
 	if err := pol.Validate(); err != nil {
 		return nil, nil, err
@@ -305,12 +295,6 @@ func Distill(pol *Policy, cfg DistillConfig) (*PolicyBundle, *DistillReport, err
 			return nil, nil, fmt.Errorf("core: distill choose: %w", err)
 		}
 		b.ChooseTable, rep.ChooseAgreement, rep.ChooseStates = tbl, agree, rows
-		if !cfg.NoQuantize {
-			b.ChooseQuant = mlp.Quantize(pol.ChooseNet)
-			states := synthesize(harvested, cfg.Samples, sample, rand.New(rand.NewSource(cfg.Seed)))
-			rep.ChooseQuantAgreement = policy.AgreementRate(
-				policy.NewMLP(pol.ChooseNet), policy.NewQuant(b.ChooseQuant), states, pol.ChooseNet.InputSize())
-		}
 	}
 	if pol.SplitNet != nil {
 		var harvested []float64
@@ -325,12 +309,6 @@ func Distill(pol *Policy, cfg DistillConfig) (*PolicyBundle, *DistillReport, err
 			return nil, nil, fmt.Errorf("core: distill split: %w", err)
 		}
 		b.SplitTable, rep.SplitAgreement, rep.SplitStates = tbl, agree, rows
-		if !cfg.NoQuantize {
-			b.SplitQuant = mlp.Quantize(pol.SplitNet)
-			states := synthesize(harvested, cfg.Samples, sample, rand.New(rand.NewSource(cfg.Seed)))
-			rep.SplitQuantAgreement = policy.AgreementRate(
-				policy.NewMLP(pol.SplitNet), policy.NewQuant(b.SplitQuant), states, pol.SplitNet.InputSize())
-		}
 	}
 	if err := b.Validate(); err != nil {
 		return nil, nil, err

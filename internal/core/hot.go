@@ -14,8 +14,8 @@ import (
 // lets them be swapped atomically while inserts are in flight.
 //
 // Memory-ordering argument: every engine is immutable once built (the MLP
-// and quant engines hold immutable networks plus a sync.Pool, the table is
-// plain read-only data), and publication happens through atomic.Pointer
+// engine holds an immutable network plus a sync.Pool, the table is plain
+// read-only data), and publication happens through atomic.Pointer
 // stores. Go's atomics carry release/acquire semantics — a goroutine that
 // Loads the new pointer observes every write that preceded the Store — so
 // a reader can never see a partially-built engine. An insert running
@@ -67,7 +67,7 @@ func NewHotPolicy(b *PolicyBundle, kind string) (*HotPolicy, error) {
 		byArea:     b.SplitSortByArea,
 		counters:   make(map[string]*atomic.Int64),
 	}
-	for _, k := range []string{policy.KindMLP, policy.KindTable, policy.KindQuant, heuristicBackend} {
+	for _, k := range []string{policy.KindMLP, policy.KindTable, heuristicBackend} {
 		h.counters[k] = new(atomic.Int64)
 	}
 	if err := h.install(b, kind); err != nil {
@@ -150,8 +150,8 @@ func (h *HotPolicy) Bundle() *PolicyBundle {
 	return h.bundle
 }
 
-// Kind returns the active backend kind ("mlp", "table", "qmlp", or
-// "heuristic" for a policy with no networks).
+// Kind returns the active backend kind ("mlp", "table", or "heuristic" for
+// a policy with no networks).
 func (h *HotPolicy) Kind() string { return *h.kind.Load() }
 
 // backendName reports the per-operation backend actually serving.
@@ -175,7 +175,7 @@ type PolicyStats struct {
 	// Kind is the active backend kind.
 	Kind string `json:"kind"`
 	// ChooseBackend / SplitBackend are the per-operation backends ("mlp",
-	// "table", "qmlp", or "heuristic" when that operation has no network).
+	// "table", or "heuristic" when that operation has no network).
 	ChooseBackend string `json:"choose_backend"`
 	SplitBackend  string `json:"split_backend"`
 	// Distilled reports whether the served bundle carries distilled

@@ -67,16 +67,16 @@ func TestHotPolicySwapAndStats(t *testing.T) {
 	otherPol.ChooseNet = nil
 	otherPol.SplitNet = nil
 	other.Policy = &otherPol
-	other.ChooseTable, other.ChooseQuant = nil, nil
+	other.ChooseTable = nil
 	if err := h.Swap(&other, KindAuto); err == nil {
 		t.Fatal("mismatched bundle accepted")
 	}
 
 	// A valid full-bundle swap replaces the served bundle.
-	if err := h.Swap(bundle, policy.KindQuant); err != nil {
+	if err := h.Swap(bundle, policy.KindMLP); err != nil {
 		t.Fatal(err)
 	}
-	if h.Kind() != policy.KindQuant || h.Bundle() != bundle {
+	if h.Kind() != policy.KindMLP || h.Bundle() != bundle {
 		t.Fatalf("bundle swap: kind %q", h.Kind())
 	}
 }
@@ -164,7 +164,7 @@ func TestHotPolicySwapHammer(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		kinds := []string{policy.KindTable, policy.KindQuant, policy.KindMLP, KindAuto}
+		kinds := []string{policy.KindTable, policy.KindMLP, KindAuto}
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -224,7 +224,7 @@ func BenchmarkPolicyInsert(b *testing.B) {
 		}
 		return tr
 	}
-	for _, kind := range []string{"heuristic", policy.KindMLP, policy.KindTable, policy.KindQuant} {
+	for _, kind := range []string{"heuristic", policy.KindMLP, policy.KindTable} {
 		b.Run(kind, func(b *testing.B) {
 			tr := newTree(kind)
 			b.ReportAllocs()

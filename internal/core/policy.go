@@ -103,7 +103,7 @@ func (p *Policy) Splitter() rtree.Splitter {
 // honoring the containment shortcut. With an MLP engine the decision is
 // arithmetically identical to the pre-engine code path (forward pass +
 // masked argmax), which is what keeps the golden workload digests stable;
-// table and quantized engines approximate it.
+// the table engine approximates it.
 type policyChooser struct {
 	eng    policy.Engine
 	k      int
@@ -186,18 +186,16 @@ func splitViaEngine(eng policy.Engine, k int, byArea bool, t *rtree.Tree, n *rtr
 // see bundle.go). v1 files decode under v2 readers unchanged; a plain
 // Policy still saves as v1 so pre-distillation files stay byte-compatible.
 type policyFile struct {
-	Format          string            `json:"format"`
-	K               int               `json:"k"`
-	MaxEntries      int               `json:"max_entries"`
-	MinEntries      int               `json:"min_entries"`
-	PaddedState     bool              `json:"padded_state,omitempty"`
-	SplitSortByArea bool              `json:"split_sort_by_area,omitempty"`
-	ChooseNet       *mlp.Network      `json:"choose_net,omitempty"`
-	SplitNet        *mlp.Network      `json:"split_net,omitempty"`
-	ChooseTable     *policy.Table     `json:"choose_table,omitempty"`
-	SplitTable      *policy.Table     `json:"split_table,omitempty"`
-	ChooseQuant     *mlp.QuantNetwork `json:"choose_quant,omitempty"`
-	SplitQuant      *mlp.QuantNetwork `json:"split_quant,omitempty"`
+	Format          string        `json:"format"`
+	K               int           `json:"k"`
+	MaxEntries      int           `json:"max_entries"`
+	MinEntries      int           `json:"min_entries"`
+	PaddedState     bool          `json:"padded_state,omitempty"`
+	SplitSortByArea bool          `json:"split_sort_by_area,omitempty"`
+	ChooseNet       *mlp.Network  `json:"choose_net,omitempty"`
+	SplitNet        *mlp.Network  `json:"split_net,omitempty"`
+	ChooseTable     *policy.Table `json:"choose_table,omitempty"`
+	SplitTable      *policy.Table `json:"split_table,omitempty"`
 }
 
 const (

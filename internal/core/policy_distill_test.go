@@ -66,13 +66,9 @@ func TestDistillParityGoldenWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("distill: %d choose states, table agreement %.4f, quant agreement %.4f",
-		rep.ChooseStates, rep.ChooseAgreement, rep.ChooseQuantAgreement)
+	t.Logf("distill: %d choose states, table agreement %.4f", rep.ChooseStates, rep.ChooseAgreement)
 	if rep.ChooseAgreement < 0.95 {
 		t.Fatalf("distill-set agreement %.4f below 0.95", rep.ChooseAgreement)
-	}
-	if rep.ChooseQuantAgreement < 0.99 {
-		t.Fatalf("quant agreement %.4f below 0.99", rep.ChooseQuantAgreement)
 	}
 
 	mlpEng, err := bundle.ChooseEngine(policy.KindMLP)
@@ -186,7 +182,7 @@ func TestBundleSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.Distilled() || back.ChooseTable == nil || back.ChooseQuant == nil {
+	if !back.Distilled() || back.ChooseTable == nil {
 		t.Fatal("artifacts lost in round trip")
 	}
 	rng := rand.New(rand.NewSource(77))
@@ -253,9 +249,6 @@ func TestBundleValidateAndEngines(t *testing.T) {
 	bare := &PolicyBundle{Policy: pol}
 	if _, err := bare.ChooseEngine(policy.KindTable); err == nil {
 		t.Fatal("table engine built without a distilled table")
-	}
-	if _, err := bare.ChooseEngine(policy.KindQuant); err == nil {
-		t.Fatal("quant engine built without a quantized network")
 	}
 	if _, err := bare.ChooseEngine("bogus"); err == nil {
 		t.Fatal("bogus kind accepted")

@@ -187,7 +187,7 @@ func TestFitDistillsMLPGridDifferential(t *testing.T) {
 
 // TestFitDistillsRealStateShape runs the differential at the real serving
 // state shape (4 features × k=2 candidates = dim 8) with sampled states —
-// the 8-cube is not enumerable — and the quantized engine alongside.
+// the 8-cube is not enumerable.
 func TestFitDistillsRealStateShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(911))
 	const dim = 8
@@ -208,22 +208,15 @@ func TestFitDistillsRealStateShape(t *testing.T) {
 	if rate < 0.95 {
 		t.Fatalf("dim-8 table agreement %.4f below 0.95", rate)
 	}
-
-	qeng := NewQuant(mlp.Quantize(net))
-	qRate := AgreementRate(ref, qeng, train, dim)
-	t.Logf("dim-8 quant agreement: %.4f", qRate)
-	if qRate < 0.99 {
-		t.Fatalf("dim-8 quant agreement %.4f below 0.99", qRate)
-	}
 }
 
-// TestEnginesMaskedSelection pins the masked semantics across all three
+// TestEnginesMaskedSelection pins the masked semantics across both
 // backends: with numActions=1 every engine must return 0 regardless of
 // state, matching the insert path's single-candidate case.
 func TestEnginesMaskedSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	net := mlp.New(rng, mlp.SELU, 4, 8, 3)
-	engines := []Engine{NewMLP(net), NewQuant(mlp.Quantize(net))}
+	engines := []Engine{NewMLP(net)}
 	tbl, err := Fit(gridStates(4, 5), 4, NewMLP(net).ChooseBatch(gridStates(4, 5), 0, nil), 3, FitConfig{MaxDepth: 4, MinLeaf: 1})
 	if err != nil {
 		t.Fatalf("fit: %v", err)
@@ -295,10 +288,9 @@ func BenchmarkEngineChooseAction(b *testing.B) {
 	engines := map[string]Engine{
 		"mlp":   ref,
 		"table": tbl,
-		"qmlp":  NewQuant(mlp.Quantize(net)),
 	}
 	state := train[:dim]
-	for _, name := range []string{"mlp", "table", "qmlp"} {
+	for _, name := range []string{"mlp", "table"} {
 		eng := engines[name]
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()

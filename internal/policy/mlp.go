@@ -58,50 +58,3 @@ func (m *MLP) ChooseBatch(states []float64, numActions int, dst []int) []int {
 	m.pool.Put(sc)
 	return dst
 }
-
-// Quant is the fixed-point fallback engine: the quantized network's integer
-// forward pass with the same masked argmax. Like MLP it shares one
-// immutable network across goroutines and pools the per-call scratch.
-type Quant struct {
-	net  *mlp.QuantNetwork
-	pool sync.Pool
-}
-
-// NewQuant wraps a quantized network as an Engine.
-func NewQuant(net *mlp.QuantNetwork) *Quant {
-	q := &Quant{net: net}
-	q.pool.New = func() any { return new(mlp.QuantScratch) }
-	return q
-}
-
-// Network returns the wrapped quantized network.
-func (q *Quant) Network() *mlp.QuantNetwork { return q.net }
-
-// Kind implements Engine.
-func (q *Quant) Kind() string { return KindQuant }
-
-// InputDim implements Engine.
-func (q *Quant) InputDim() int { return q.net.InputSize() }
-
-// NumActions implements Engine.
-func (q *Quant) NumActions() int { return q.net.OutputSize() }
-
-// ChooseAction implements Engine.
-func (q *Quant) ChooseAction(state []float64, numActions int) int {
-	sc := q.pool.Get().(*mlp.QuantScratch)
-	a := argmaxPrefix(q.net.Forward(state, sc), clampActions(numActions, q.net.OutputSize()))
-	q.pool.Put(sc)
-	return a
-}
-
-// ChooseBatch implements Engine.
-func (q *Quant) ChooseBatch(states []float64, numActions int, dst []int) []int {
-	in := q.net.InputSize()
-	n := clampActions(numActions, q.net.OutputSize())
-	sc := q.pool.Get().(*mlp.QuantScratch)
-	for r := 0; r+in <= len(states); r += in {
-		dst = append(dst, argmaxPrefix(q.net.Forward(states[r:r+in], sc), n))
-	}
-	q.pool.Put(sc)
-	return dst
-}

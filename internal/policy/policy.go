@@ -1,7 +1,7 @@
 // Package policy makes RLR-Tree policy inference pluggable. Training
 // produces a dense MLP Q-network (internal/mlp, internal/rl); serving an
 // insert through it pays a full forward pass per node descent. This package
-// defines the Engine interface the insert path calls through and three
+// defines the Engine interface the insert path calls through and two
 // interchangeable backends:
 //
 //   - MLP: the trained float network, bit-identical to calling the network
@@ -11,9 +11,6 @@
 //     (CART-style greedy splits over the 4-feature candidate state, labels
 //     from the DQN's argmax), stored as flat heap-ordered arrays and
 //     scanned branch-free in the style of the rtree package's hitRect.
-//   - Quant: the same MLP in int16 fixed point with integer dot products,
-//     the fallback when the table's approximation is not acceptable but the
-//     float network is too slow.
 //
 // All engines are immutable after construction and safe for concurrent
 // ChooseAction calls, which is what lets internal/server hot-swap them
@@ -24,7 +21,6 @@ package policy
 const (
 	KindMLP   = "mlp"
 	KindTable = "table"
-	KindQuant = "qmlp"
 )
 
 // Engine selects an action from a featurized candidate state. numActions
@@ -33,7 +29,7 @@ const (
 // implementations clamp it to [1, NumActions()]. Engines must be safe for
 // concurrent ChooseAction/ChooseBatch calls.
 type Engine interface {
-	// Kind returns the backend kind (KindMLP, KindTable, KindQuant).
+	// Kind returns the backend kind (KindMLP, KindTable).
 	Kind() string
 	// InputDim returns the expected state dimensionality.
 	InputDim() int

@@ -190,18 +190,12 @@ func (c *ConcurrentTree) Validate() error {
 	return e.tree.Validate()
 }
 
-// EncodeSnapshot clones the current epoch's tree and gob-encodes the
-// clone, so serialization I/O never blocks writers or pins an epoch. It
-// is the serving layer's snapshot hook, shared with shard.ShardedTree.
-func (c *ConcurrentTree) EncodeSnapshot(w io.Writer) error {
-	return c.PrepareSnapshot()(w)
-}
-
-// PrepareSnapshot splits EncodeSnapshot into its two phases: it clones
-// the current epoch *now* (pinning it only for the arena copy) and
-// returns an encoder over the private clone to run later. The serving
-// layer uses the split to capture the tree state and the WAL's last LSN
-// at one consistent instant (under its snapshot lock) while keeping the
+// PrepareSnapshot is the serving layer's snapshot hook, shared with
+// shard.ShardedTree: it clones the current epoch *now* (pinning it only
+// for the arena copy) and returns a gob encoder over the private clone
+// to run later, so serialization I/O never blocks writers or pins an
+// epoch. The serving layer captures the tree state and the WAL's last
+// LSN at one consistent instant (under its snapshot lock) and keeps the
 // encoding I/O outside every lock. Because a mutation only returns after
 // publishing its epoch, the captured epoch reflects every acknowledged
 // write — the WAL consistency argument of internal/server is unchanged.

@@ -173,17 +173,32 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rects := randSquares(rng, 1200, 0.008)
 	tr := buildTree(t, testOpts(), rects)
+	// Deletes recycle node slots, so arena order is no longer preorder.
+	for i := 0; i < len(rects); i += 5 {
+		tr.Delete(rects[i], i)
+	}
 
 	var buf bytes.Buffer
 	if err := tr.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
+	first := append([]byte(nil), buf.Bytes()...)
 	back, err := Decode(&buf, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Len() != tr.Len() || back.Height() != tr.Height() || back.NodeCount() != tr.NodeCount() {
 		t.Fatalf("decoded structure differs")
+	}
+	// encode→decode→encode is a fixpoint: the wire form is canonical
+	// preorder, whatever NodeIDs the source tree's deletes left it with, so
+	// snapshot files are content-addressable and safe to diff/dedup.
+	var second bytes.Buffer
+	if err := back.Encode(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, second.Bytes()) {
+		t.Fatalf("re-encode not byte-stable: %d vs %d bytes", len(first), second.Len())
 	}
 	// Identical query behaviour, node accesses included.
 	for i := 0; i < 30; i++ {

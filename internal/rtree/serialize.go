@@ -8,30 +8,16 @@ import (
 	"github.com/rlr-tree/rlrtree/internal/geom"
 )
 
-// wireNode is the recursive wire form of version-1 snapshots (one gob
-// struct per node). It is kept only for the legacy decode path.
-type wireNode struct {
-	Leaf     bool
-	Rects    []geom.Rect
-	Data     []any      // payloads, leaf nodes only
-	Children []wireNode // subtrees, internal nodes only
-}
-
-// wireTree is the gob container for every snapshot version. gob matches
-// fields by name and omits zero-valued fields from the stream, so a single
-// struct serves both: version-1 streams populate Root, version-2 streams
-// populate the flat preorder arrays and leave Root empty.
-//
-// Version 2 encodes the node arena directly as flat arrays in DFS preorder:
-// Leaf[k] and Count[k] describe the k-th node in preorder, Rects holds
-// every node's entry rectangles concatenated in that node order, Data holds
-// the leaf payloads (leaf entries, in order), and Kids holds the child
-// references of internal entries as preorder position + 1 — which is
-// exactly the NodeID the decoder assigns, since it allocates nodes in
-// preorder into a fresh arena. Preorder is a canonical form: encoding a
-// decoded tree reproduces the identical byte stream regardless of the IDs
-// the source tree had, which makes snapshots stable across
-// encode→decode→encode (and across migration from version 1).
+// wireTree is the gob wire form of a tree: the node arena as flat arrays
+// in DFS preorder. Leaf[k] and Count[k] describe the k-th node in
+// preorder, Rects holds every node's entry rectangles concatenated in
+// that node order, Data holds the leaf payloads (leaf entries, in order),
+// and Kids holds the child references of internal entries as preorder
+// position + 1 — which is exactly the NodeID the decoder assigns, since
+// it allocates nodes in preorder into a fresh arena. Preorder is a
+// canonical form: encoding a decoded tree reproduces the identical byte
+// stream regardless of the IDs the source tree had, which makes
+// snapshots stable across encode→decode→encode.
 type wireTree struct {
 	Version    int
 	MaxEntries int
@@ -39,13 +25,11 @@ type wireTree struct {
 	Height     int
 	Size       int
 
-	Root wireNode // version 1 only
-
-	Leaf  []bool      // v2: per preorder node
-	Count []int32     // v2: entries per preorder node
-	Rects []geom.Rect // v2: entry rects, concatenated per node
-	Kids  []int32     // v2: internal entries' child = preorder position + 1
-	Data  []any       // v2: leaf entries' payloads
+	Leaf  []bool      // per preorder node
+	Count []int32     // entries per preorder node
+	Rects []geom.Rect // entry rects, concatenated per node
+	Kids  []int32     // internal entries' child = preorder position + 1
+	Data  []any       // leaf entries' payloads
 }
 
 const wireVersion = 2
@@ -106,30 +90,20 @@ func (t *Tree) Encode(w io.Writer) error {
 	return nil
 }
 
-// Decode reads a tree previously written by Encode — the current arena
-// format (version 2) or the legacy recursive format (version 1). The given
-// options supply the strategies for future insertions; their capacity
-// bounds must match the encoded tree's (they determine structural
-// invariants). The decoded tree is validated before being returned.
+// Decode reads a tree previously written by Encode. The given options
+// supply the strategies for future insertions; the capacity bounds come
+// from the encoded tree (they determine structural invariants). Nodes are
+// allocated in preorder into a fresh tree, so the k-th preorder node gets
+// NodeID k+1 and the Kids values are usable as NodeIDs directly. The
+// decoded tree is validated before being returned.
 func Decode(r io.Reader, opts Options) (*Tree, error) {
 	var wt wireTree
 	if err := gob.NewDecoder(r).Decode(&wt); err != nil {
 		return nil, fmt.Errorf("rtree: decode: %w", err)
 	}
-	switch wt.Version {
-	case 1:
-		return decodeV1(wt, opts)
-	case 2:
-		return decodeV2(wt, opts)
-	default:
+	if wt.Version != wireVersion {
 		return nil, fmt.Errorf("rtree: unsupported wire version %d", wt.Version)
 	}
-}
-
-// decodeV2 rebuilds the arena from the flat preorder arrays. Nodes are
-// allocated in preorder into a fresh tree, so the k-th preorder node gets
-// NodeID k+1 and the Kids values are usable as NodeIDs directly.
-func decodeV2(wt wireTree, opts Options) (*Tree, error) {
 	opts.MaxEntries = wt.MaxEntries
 	opts.MinEntries = wt.MinEntries
 	t, err := NewChecked(opts)
@@ -200,70 +174,4 @@ func decodeV2(wt wireTree, opts Options) (*Tree, error) {
 		return nil, fmt.Errorf("rtree: decoded tree invalid: %w", err)
 	}
 	return t, nil
-}
-
-// decodeV1 migrates a legacy recursive snapshot into the arena. Nodes are
-// allocated in DFS preorder — the same canonical order Encode emits — so a
-// migrated tree re-encodes to the same bytes as any other tree of identical
-// structure.
-func decodeV1(wt wireTree, opts Options) (*Tree, error) {
-	opts.MaxEntries = wt.MaxEntries
-	opts.MinEntries = wt.MinEntries
-	// A version-1 stream always carries a non-empty Root (an empty tree is
-	// a leaf root with zero entries, Leaf == true). An internal root with
-	// no rects means the gob stream was a different container that happens
-	// to share the Version field — most likely a sharded snapshot decoded
-	// through the single-tree path.
-	if !wt.Root.Leaf && len(wt.Root.Rects) == 0 {
-		return nil, fmt.Errorf("rtree: decode: stream is not a single-tree snapshot (empty internal root; a sharded snapshot must be restored with its sharded decoder)")
-	}
-	t, err := NewChecked(opts)
-	if err != nil {
-		return nil, err
-	}
-	t.freeNode(t.root)
-	root, err := t.fromWireV1(wt.Root, NoNode)
-	if err != nil {
-		return nil, err
-	}
-	t.root = root
-	t.height = wt.Height
-	t.size = wt.Size
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("rtree: decoded tree invalid: %w", err)
-	}
-	return t, nil
-}
-
-func (t *Tree) fromWireV1(wn wireNode, parent NodeID) (NodeID, error) {
-	if len(wn.Rects) > t.opts.MaxEntries {
-		return NoNode, fmt.Errorf("rtree: wire node has %d entries (max %d)", len(wn.Rects), t.opts.MaxEntries)
-	}
-	id := t.alloc(wn.Leaf)
-	t.node(id).parent = parent
-	if wn.Leaf {
-		if len(wn.Data) != len(wn.Rects) {
-			return NoNode, fmt.Errorf("rtree: leaf wire node has %d payloads for %d rects", len(wn.Data), len(wn.Rects))
-		}
-		es := make([]Entry, len(wn.Rects))
-		for i := range wn.Rects {
-			es[i] = Entry{Rect: wn.Rects[i], Data: wn.Data[i]}
-		}
-		t.setEntries(id, es)
-		return id, nil
-	}
-	if len(wn.Children) != len(wn.Rects) {
-		return NoNode, fmt.Errorf("rtree: wire node has %d children for %d rects", len(wn.Children), len(wn.Rects))
-	}
-	for i := range wn.Rects {
-		child, err := t.fromWireV1(wn.Children[i], id)
-		if err != nil {
-			return NoNode, err
-		}
-		// Re-resolve after the recursive allocation and append within the
-		// node's slab slot.
-		n := t.node(id)
-		n.entries = append(n.entries, Entry{Rect: wn.Rects[i], Child: child})
-	}
-	return id, nil
 }

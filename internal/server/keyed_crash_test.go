@@ -171,17 +171,13 @@ func TestKeyedCrashRecoveryWithSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	tree2, pairs, lsn, err := LoadKeyedSnapshotLSN(snap, rtree.Options{MaxEntries: 16, MinEntries: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx2, pairs, lsn := loadSingle(t, snap)
 	if lsn == 0 {
 		t.Fatal("snapshot carries no LSN")
 	}
 	if len(pairs) == 0 {
-		t.Fatal("snapshot carries no keyed section")
+		t.Fatal("snapshot carries no key map")
 	}
-	idx2 := rtree.NewConcurrent(tree2)
 	coll2 := collection.Restore(idx2, pairs)
 	if _, err := Recover(w2, lsn, idx2, coll2, t.Logf); err != nil {
 		t.Fatal(err)

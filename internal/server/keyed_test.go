@@ -11,6 +11,7 @@ import (
 	"github.com/rlr-tree/rlrtree/internal/cliutil"
 	"github.com/rlr-tree/rlrtree/internal/collection"
 	"github.com/rlr-tree/rlrtree/internal/rtree"
+	"github.com/rlr-tree/rlrtree/internal/shard"
 	"github.com/rlr-tree/rlrtree/internal/wal"
 )
 
@@ -158,7 +159,7 @@ func TestKeyedEndpoints(t *testing.T) {
 	}
 }
 
-// TestKeyedSnapshotRestore proves the keyed section survives the full
+// TestKeyedSnapshotRestore proves the key map survives the full
 // save/load cycle: a server with keyed and legacy objects snapshots,
 // and a second server restored from the file answers keyed GETs.
 func TestKeyedSnapshotRestore(t *testing.T) {
@@ -179,17 +180,16 @@ func TestKeyedSnapshotRestore(t *testing.T) {
 	s.Close()
 
 	opts, _, _ := cliutil.IndexOptions("", "rtree", 16, 6)
-	tree, pairs, lsn, err := LoadKeyedSnapshotLSN(snap, opts)
+	idx, pairs, lsn, err := LoadSnapshot(snap, shard.Options{Tree: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lsn != 0 || len(pairs) != 50 {
 		t.Fatalf("restored lsn=%d pairs=%d, want 0/50", lsn, len(pairs))
 	}
-	if tree.Len() != 51 {
-		t.Fatalf("restored index holds %d objects, want 51", tree.Len())
+	if idx.Len() != 51 {
+		t.Fatalf("restored index holds %d objects, want 51", idx.Len())
 	}
-	idx := rtree.NewConcurrent(tree)
 	coll := collection.Restore(idx, pairs)
 	s2, err := New(Config{Index: idx, Collection: coll})
 	if err != nil {

@@ -123,10 +123,10 @@ func TestServerPolicyEndpointAndStats(t *testing.T) {
 	if err := hot.Bundle().Save(path); err != nil {
 		t.Fatal(err)
 	}
-	if resp := postJSON(t, ts.URL+"/policy", policyRequest{Path: path, Kind: "qmlp"}, &pr); resp.StatusCode != http.StatusOK {
+	if resp := postJSON(t, ts.URL+"/policy", policyRequest{Path: path, Kind: "table"}, &pr); resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload status %d", resp.StatusCode)
 	}
-	if pr.Policy.Kind != "qmlp" {
+	if pr.Policy.Kind != "table" {
 		t.Fatalf("kind after reload %q", pr.Policy.Kind)
 	}
 
@@ -165,7 +165,7 @@ func TestServerPolicySwapUnderInsertLoad(t *testing.T) {
 	swapper.Add(1)
 	go func() {
 		defer swapper.Done()
-		kinds := []string{"table", "qmlp", "mlp"}
+		kinds := []string{"table", "mlp"}
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -298,7 +298,7 @@ func TestWALReplayBackendIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qmlpHot, err := core.NewHotPolicy(testBundle(t), "qmlp")
+	mlpHot, err := core.NewHotPolicy(testBundle(t), "mlp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestWALReplayBackendIndependent(t *testing.T) {
 	for name, got := range map[string][]string{
 		"heuristic": recoverInto(nil, nil),
 		"table":     recoverInto(tableHot.Chooser(), tableHot.Splitter()),
-		"qmlp":      recoverInto(qmlpHot.Chooser(), qmlpHot.Splitter()),
+		"mlp":       recoverInto(mlpHot.Chooser(), mlpHot.Splitter()),
 	} {
 		if len(got) != len(want) {
 			t.Fatalf("%s replay: %d ids, want %d", name, len(got), len(want))

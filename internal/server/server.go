@@ -69,9 +69,11 @@ type Index interface {
 	KNNAppend(p geom.Point, k int, dst []rtree.Neighbor) ([]rtree.Neighbor, rtree.QueryStats)
 	Len() int
 	Stats() rtree.TreeStats
-	// EncodeSnapshot serializes a consistent copy of the index without
-	// blocking writers for the duration of the encoding I/O.
-	EncodeSnapshot(w io.Writer) error
+	// PrepareSnapshot captures a consistent copy of the index now (a
+	// clone of the published epoch — cheap, done under the server's
+	// snapshot lock) and returns its encoder, which the server runs
+	// outside every lock so disk I/O never blocks writers.
+	PrepareSnapshot() func(w io.Writer) error
 }
 
 // ShardStatser is optionally implemented by sharded indexes; when the
@@ -109,11 +111,13 @@ const (
 // required (Index wins when both are set).
 type Config struct {
 	// Tree is the served single-tree index. Build it empty
-	// (cliutil.BuildIndex), by bulk loading, or by restoring a snapshot
-	// (LoadSnapshot), then wrap it with rtree.NewConcurrent.
+	// (cliutil.BuildIndex) or by bulk loading, then wrap it with
+	// rtree.NewConcurrent.
 	Tree *rtree.ConcurrentTree
 	// Index is the served index when it is not a single ConcurrentTree —
-	// a shard.ShardedTree, or any other Index implementation.
+	// a shard.ShardedTree, what LoadSnapshot restored (either kind), or
+	// any other Index implementation (which can serve, but SaveSnapshot
+	// only knows the payloads of those two).
 	Index Index
 	// IndexName labels the index in /stats output ("rtree", "RLR-Tree"...).
 	IndexName string
@@ -150,7 +154,7 @@ type Config struct {
 	// Collection is the keyed object layer served by /set, /get, /del
 	// and the paged query modes. Pass the collection WAL recovery
 	// replayed into (built over Index with collection.Restore from the
-	// snapshot's keyed section); nil makes New build an empty one over
+	// snapshot's key map); nil makes New build an empty one over
 	// Index.
 	Collection *collection.Collection
 	// Policy, when non-nil, is the hot-swappable learned policy whose
@@ -182,9 +186,10 @@ type Server struct {
 	rebalLoopWG chan struct{} // closed when the background rebalance loop exits
 	closed      atomic.Bool
 
-	// walMu orders mutations against snapshot captures: mutations hold
-	// it shared around their append+apply pair, snapshot capture holds
-	// it exclusive (see wal.go for the consistency argument).
+	// walMu orders mutations against snapshot captures: every mutation,
+	// logged or not, holds it shared around its append+apply pair,
+	// snapshot capture holds it exclusive (see wal.go for the
+	// consistency argument).
 	walMu sync.RWMutex
 	// idMu stripes per-object-ID ordering for WAL-enabled mutations:
 	// append+apply runs under the stripe of every ID it touches, so the

@@ -17,6 +17,7 @@ import (
 	"github.com/rlr-tree/rlrtree/internal/cliutil"
 	"github.com/rlr-tree/rlrtree/internal/geom"
 	"github.com/rlr-tree/rlrtree/internal/rtree"
+	"github.com/rlr-tree/rlrtree/internal/shard"
 )
 
 // newTestServer boots a server over an empty Guttman tree on an
@@ -208,14 +209,14 @@ func TestServerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadSnapshot(snap, opts)
+	restored, _, _, err := LoadSnapshot(snap, shard.Options{Tree: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if restored.Len() != n-1 {
 		t.Fatalf("restored %d objects, want %d", restored.Len(), n-1)
 	}
-	s2, err := New(Config{Tree: rtree.NewConcurrent(restored), IndexName: "rtree"})
+	s2, err := New(Config{Index: restored, IndexName: "rtree"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestServerCloseWritesFinalSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts, _, _ := cliutil.IndexOptions("", "rtree", 16, 6)
-	restored, err := LoadSnapshot(snap, opts)
+	restored, _, _, err := LoadSnapshot(snap, shard.Options{Tree: opts})
 	if err != nil {
 		t.Fatalf("final snapshot missing: %v", err)
 	}
@@ -290,7 +291,7 @@ func TestBackgroundSnapshotLoop(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSnapshot(snap, opts); err != nil {
+	if _, _, _, err := LoadSnapshot(snap, shard.Options{Tree: opts}); err != nil {
 		t.Fatal(err)
 	}
 }

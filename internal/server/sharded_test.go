@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -45,8 +46,8 @@ func TestConfigRequiresAnIndex(t *testing.T) {
 }
 
 // TestShardedServerLifecycle runs the serving loop over a ShardedTree:
-// insert, query, per-shard /stats breakdown, snapshot in the sharded
-// container format, restart from it, identical query results.
+// insert, query, per-shard /stats breakdown, snapshot, restart from it,
+// identical query results.
 func TestShardedServerLifecycle(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "sharded.gob")
 	s, ts, st := newShardedTestServer(t, snap)
@@ -122,16 +123,18 @@ func TestShardedServerLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The sharded snapshot restores only through the sharded decoder...
-	if _, err := LoadSnapshot(snap, rtree.Options{MaxEntries: 16, MinEntries: 6}); err == nil {
-		t.Fatal("single-tree decoder accepted a sharded snapshot")
+	// The sharded snapshot restores only when a sharded index is asked
+	// for (the shard count itself comes from the file)...
+	opts := shard.Options{Tree: rtree.Options{MaxEntries: 16, MinEntries: 6}}
+	if _, _, _, err := LoadSnapshot(snap, opts); !errors.Is(err, ErrSnapshotKind) {
+		t.Fatalf("single-tree load of a sharded snapshot: err = %v, want ErrSnapshotKind", err)
 	}
-	restored, err := LoadShardedSnapshot(snap, shard.Options{
-		Tree: rtree.Options{MaxEntries: 16, MinEntries: 6},
-	})
+	opts.Shards = 2
+	index, _, _, err := LoadSnapshot(snap, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	restored := index.(*shard.ShardedTree)
 	if restored.Len() != n-1 || restored.NumShards() != st.NumShards() {
 		t.Fatalf("restored %d objects over %d shards, want %d over %d",
 			restored.Len(), restored.NumShards(), n-1, st.NumShards())

@@ -1,33 +1,82 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
 
 	"github.com/rlr-tree/rlrtree/internal/collection"
+	"github.com/rlr-tree/rlrtree/internal/geom"
 	"github.com/rlr-tree/rlrtree/internal/rtree"
 	"github.com/rlr-tree/rlrtree/internal/shard"
-	"github.com/rlr-tree/rlrtree/internal/wal"
 )
 
-// SaveSnapshot writes the served index to Config.SnapshotPath through
-// Index.EncodeSnapshot (the single-tree gob format of rtree.(*Tree).Encode,
-// or the nested sharded format of shard.(*ShardedTree).EncodeSnapshot —
-// whichever matches the index being served). Both implementations clone
-// the published epoch(s) — pinned only for the arena copy — and encode
-// outside every lock, so disk I/O never blocks writers or stalls epoch
-// reclamation; the file is written to a temp sibling and renamed into
-// place, so a crash mid-write leaves the previous snapshot intact.
+// Snapshot container. One file holds everything a restart needs, and
+// this file is the only code that knows its byte layout:
 //
-// With a WAL attached the snapshot is prefixed with the envelope of
-// wal.WriteSnapshotHeader carrying the last LSN the encoded state
-// covers; capture happens under the exclusive half of walMu so the LSN
-// and the clone correspond exactly (see internal/server/wal.go). A
-// successful snapshot advances the durable LSN and retires fully
-// covered log segments.
+//	| magic "RLR-SNAP" | version u32 | kind u8 | lsn u64 |      header, 21 bytes
+//	| uvarint count | count × pair |                            key map
+//	| index payload |                                           to the trailer
+//	| crc32c u32 |                                              over every byte above
+//
+//	pair = uvarint keyLen | key bytes | MinX MinY MaxX MaxY float64
+//
+// All fixed-width integers are little-endian. kind names the decoder of
+// the index payload: the gob of rtree.(*Tree).Encode for a single tree,
+// the gob of shard.(*ShardedTree).EncodeSnapshot for a sharded one —
+// each package owns its own payload and knows nothing of the container.
+// lsn is the last WAL record the state covers (0 without a log, which
+// replays a whole log). The key map is always present; a server that
+// never saw a keyed write stores count 0. The LSN travels inside the
+// file because the rename that publishes the file is then the single
+// commit point for state and LSN together.
+//
+// The CRC (the WAL's polynomial) is verified before any field is
+// trusted, so a torn or bit-rotted file is a load error, never a
+// half-restored index.
+
+var snapMagic = [8]byte{'R', 'L', 'R', '-', 'S', 'N', 'A', 'P'}
+
+const (
+	snapVersion   = 1
+	snapHeaderLen = 8 + 4 + 1 + 8
+	snapMinPair   = 1 + 32 // empty key: one length byte and the rect
+
+	kindSingle  = 1
+	kindSharded = 2
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrSnapshotKind reports a snapshot whose index kind (single tree or
+// sharded) is not the one the loader was asked for. A server must be
+// restarted with the -shards setting its snapshot was written with.
+var ErrSnapshotKind = errors.New("snapshot kind mismatch")
+
+func kindName(kind byte) string {
+	if kind == kindSharded {
+		return "sharded"
+	}
+	return "single-tree"
+}
+
+// SaveSnapshot writes the served index and key map to
+// Config.SnapshotPath. The capture — last LSN, key map, a clone of the
+// index's published epoch(s) — happens under the exclusive half of
+// walMu, which every mutation holds shared, so the three correspond to
+// one instant with or without a log (see wal.go). Encoding and disk I/O
+// run outside every lock; the file is written to a temp sibling and
+// renamed into place, so a crash mid-write leaves the previous snapshot
+// intact. With a WAL attached a successful snapshot advances the durable
+// LSN and retires fully covered log segments.
 //
 // SaveSnapshot is single-flighted: snapSaveMu is held across
 // capture+write+rename+retire so concurrent callers (POST /snapshot,
@@ -40,50 +89,38 @@ func (s *Server) SaveSnapshot() error {
 	if s.cfg.SnapshotPath == "" {
 		return fmt.Errorf("server: no snapshot path configured")
 	}
+	var kind byte
+	switch s.index.(type) {
+	case *rtree.ConcurrentTree:
+		kind = kindSingle
+	case *shard.ShardedTree:
+		kind = kindSharded
+	default:
+		return fmt.Errorf("server: no snapshot payload kind for index type %T", s.index)
+	}
 	s.snapSaveMu.Lock()
 	defer s.snapSaveMu.Unlock()
-	var (
-		lsn    uint64
-		encode func(io.Writer) error
-	)
-	// The collection's encoders prepend the keyed section to the inner
-	// index payload, so every snapshot carries the key map; its
-	// PrepareSnapshot captures the key map alongside the index epoch, so
-	// the two halves are consistent with each other and with the LSN.
-	if s.cfg.WAL == nil {
-		encode = s.coll.EncodeSnapshot
-	} else {
-		s.walMu.Lock()
-		if _, ok := s.index.(SnapshotPreparer); ok {
-			// Cheap capture under the lock, expensive encode outside it.
-			lsn = s.cfg.WAL.LastLSN()
-			encode = s.coll.PrepareSnapshot()
-			s.walMu.Unlock()
-		} else {
-			// The index cannot split capture from encode, so the whole
-			// write must run under the lock (mutations stall for the
-			// duration) — otherwise a write could land between the
-			// captured LSN and the encoded state.
-			defer s.walMu.Unlock()
-			lsn = s.cfg.WAL.LastLSN()
-			encode = s.coll.EncodeSnapshot
-		}
-		if lsn < s.snapLSN.Load() {
-			// Unreachable while snapSaveMu serializes saves (LSNs only
-			// grow), but never regress the durable LSN: overwriting a
-			// newer snapshot after its segments were retired would lose
-			// acknowledged writes.
-			return fmt.Errorf("server: snapshot capture LSN %d behind durable LSN %d, refusing stale overwrite", lsn, s.snapLSN.Load())
-		}
-		inner := encode
-		encode = func(w io.Writer) error {
-			if err := wal.WriteSnapshotHeader(w, lsn); err != nil {
-				return fmt.Errorf("server: snapshot header: %w", err)
-			}
-			return inner(w)
-		}
+
+	s.walMu.Lock()
+	var lsn uint64
+	if s.cfg.WAL != nil {
+		lsn = s.cfg.WAL.LastLSN()
 	}
-	if err := writeSnapshotAtomic(s.cfg.SnapshotPath, encode); err != nil {
+	pairs := s.coll.Pairs()
+	encodeIndex := s.index.PrepareSnapshot()
+	s.walMu.Unlock()
+
+	if lsn < s.snapLSN.Load() {
+		// Unreachable while snapSaveMu serializes saves (LSNs only
+		// grow), but never regress the durable LSN: overwriting a
+		// newer snapshot after its segments were retired would lose
+		// acknowledged writes.
+		return fmt.Errorf("server: snapshot capture LSN %d behind durable LSN %d, refusing stale overwrite", lsn, s.snapLSN.Load())
+	}
+	err := writeSnapshotAtomic(s.cfg.SnapshotPath, func(w io.Writer) error {
+		return writeSnapshot(w, kind, lsn, pairs, encodeIndex)
+	})
+	if err != nil {
 		s.snapErrors.Add(1)
 		return err
 	}
@@ -96,6 +133,39 @@ func (s *Server) SaveSnapshot() error {
 			// disk and replay-filter time, so log and move on.
 			s.cfg.Logf("wal: retire segments covered by LSN %d: %v", lsn, err)
 		}
+	}
+	return nil
+}
+
+// writeSnapshot streams one container to w, checksumming as it goes.
+func writeSnapshot(w io.Writer, kind byte, lsn uint64, pairs []collection.KeyRect, encodeIndex func(io.Writer) error) error {
+	sum := crc32.New(castagnoli)
+	bw := bufio.NewWriter(io.MultiWriter(w, sum))
+
+	var buf [32]byte
+	copy(buf[:8], snapMagic[:])
+	binary.LittleEndian.PutUint32(buf[8:], snapVersion)
+	buf[12] = kind
+	binary.LittleEndian.PutUint64(buf[13:], lsn)
+	bw.Write(buf[:snapHeaderLen]) // bufio errors are sticky; Flush reports them
+
+	bw.Write(binary.AppendUvarint(buf[:0], uint64(len(pairs))))
+	for _, p := range pairs {
+		bw.Write(binary.AppendUvarint(buf[:0], uint64(len(p.Key))))
+		bw.WriteString(p.Key)
+		for i, v := range [4]float64{p.Rect.MinX, p.Rect.MinY, p.Rect.MaxX, p.Rect.MaxY} {
+			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+		}
+		bw.Write(buf[:])
+	}
+	if err := encodeIndex(bw); err != nil {
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("server: write snapshot: %w", err)
+	}
+	if _, err := w.Write(binary.LittleEndian.AppendUint32(buf[:0], sum.Sum32())); err != nil {
+		return fmt.Errorf("server: write snapshot: %w", err)
 	}
 	return nil
 }
@@ -138,94 +208,109 @@ func writeSnapshotAtomic(path string, encode func(io.Writer) error) error {
 	return nil
 }
 
-// LoadSnapshot restores a tree from a snapshot file. opts supplies the
-// insertion strategies for the restored tree's future writes — build it
-// with cliutil.IndexOptions so a server restarted with the same -policy /
-// -index flags keeps the insertion behaviour its snapshot was built
-// with. Returns os.ErrNotExist (wrapped) when no snapshot exists yet.
-func LoadSnapshot(path string, opts rtree.Options) (*rtree.Tree, error) {
-	t, _, err := LoadSnapshotLSN(path, opts)
-	return t, err
-}
-
-// LoadSnapshotLSN is LoadSnapshot plus the WAL LSN the snapshot covers:
-// replaying the log from that LSN reproduces the pre-crash state.
-// Snapshots written without a WAL (no envelope) report LSN 0, which
-// replays the whole log — correct, since nothing was retired. The key
-// map section, when present, is decoded and dropped; use
-// LoadKeyedSnapshotLSN to keep it.
-func LoadSnapshotLSN(path string, opts rtree.Options) (*rtree.Tree, uint64, error) {
-	t, _, lsn, err := LoadKeyedSnapshotLSN(path, opts)
-	return t, lsn, err
-}
-
-// LoadKeyedSnapshotLSN is LoadSnapshotLSN plus the keyed section: the
-// (key, rect) pairs to rebuild the collection's key map with
-// collection.Restore over the returned tree. Snapshots from pre-keyed
-// servers return nil pairs (the key map starts empty and WAL replay of
-// keyed records, if any, rebuilds it).
-func LoadKeyedSnapshotLSN(path string, opts rtree.Options) (*rtree.Tree, []collection.KeyRect, uint64, error) {
-	f, err := os.Open(path)
+// LoadSnapshot restores what SaveSnapshot wrote: the index (a
+// *rtree.ConcurrentTree or a *shard.ShardedTree, per the file's kind),
+// the key map to rebuild the collection with collection.Restore over
+// that index, and the WAL LSN the state covers — replaying the log past
+// it reproduces the pre-crash state; 0 replays the whole log.
+//
+// opts.Shards > 1 asks for a sharded index, anything else for a single
+// tree; a file of the other kind fails with ErrSnapshotKind. The routing
+// geometry of a sharded index (shard count, grid, world) comes from the
+// file. opts.Tree supplies the insertion strategies for the restored
+// index's future writes — build it with cliutil.IndexOptions so a server
+// restarted with the same -policy / -index flags keeps the insertion
+// behaviour its snapshot was built with. Returns os.ErrNotExist
+// (wrapped) when no snapshot exists yet.
+func LoadSnapshot(path string, opts shard.Options) (Index, []collection.KeyRect, uint64, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("server: open snapshot: %w", err)
 	}
-	defer f.Close()
-	lsn, r, err := wal.ReadSnapshotHeader(f)
+	index, pairs, lsn, err := decodeSnapshot(data, opts)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("server: %s: %w", path, err)
 	}
-	pairs, r, err := collection.ReadKeyedSection(r)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("server: %s: %w", path, err)
-	}
-	t, err := rtree.Decode(r, opts)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("server: %s: %w", path, err)
-	}
-	return t, pairs, lsn, nil
+	return index, pairs, lsn, nil
 }
 
-// LoadShardedSnapshot restores a ShardedTree from a snapshot written by
-// a sharded server. The routing geometry (shard count, grid resolution,
-// world rect) comes from the snapshot itself; opts supplies the
-// per-shard insertion strategies for future writes, mirroring
-// LoadSnapshot. Returns os.ErrNotExist (wrapped) when no snapshot
-// exists yet.
-func LoadShardedSnapshot(path string, opts shard.Options) (*shard.ShardedTree, error) {
-	st, _, err := LoadShardedSnapshotLSN(path, opts)
-	return st, err
+// decodeSnapshot restores an index from one container held in memory.
+func decodeSnapshot(data []byte, opts shard.Options) (Index, []collection.KeyRect, uint64, error) {
+	kind, lsn, pairs, payload, err := parseSnapshot(data)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	want := byte(kindSingle)
+	if opts.Shards > 1 {
+		want = kindSharded
+	}
+	if kind != want {
+		return nil, nil, 0, fmt.Errorf("%w: file holds a %s index, -shards %d asks for a %s one",
+			ErrSnapshotKind, kindName(kind), opts.Shards, kindName(want))
+	}
+	var index Index
+	if kind == kindSharded {
+		index, err = shard.Decode(bytes.NewReader(payload), opts)
+	} else {
+		var t *rtree.Tree
+		if t, err = rtree.Decode(bytes.NewReader(payload), opts.Tree); err == nil {
+			index = rtree.NewConcurrent(t)
+		}
+	}
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return index, pairs, lsn, nil
 }
 
-// LoadShardedSnapshotLSN is LoadShardedSnapshot plus the covered WAL
-// LSN, mirroring LoadSnapshotLSN. The key map section, when present, is
-// decoded and dropped; use LoadKeyedShardedSnapshotLSN to keep it.
-func LoadShardedSnapshotLSN(path string, opts shard.Options) (*shard.ShardedTree, uint64, error) {
-	st, _, lsn, err := LoadKeyedShardedSnapshotLSN(path, opts)
-	return st, lsn, err
-}
-
-// LoadKeyedShardedSnapshotLSN is LoadShardedSnapshotLSN plus the keyed
-// section, mirroring LoadKeyedSnapshotLSN for the wire-v2 sharded
-// container.
-func LoadKeyedShardedSnapshotLSN(path string, opts shard.Options) (*shard.ShardedTree, []collection.KeyRect, uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("server: open snapshot: %w", err)
+// parseSnapshot verifies a container and splits it into its header
+// fields, key map and index payload (a sub-slice of data). Nothing is
+// trusted before the checksum matches, and every count and length is
+// bounded by the bytes that remain before anything is allocated for it,
+// so no input makes it allocate more than a small multiple of len(data).
+// The payload decoders behind it see checksummed bytes only.
+func parseSnapshot(data []byte) (kind byte, lsn uint64, pairs []collection.KeyRect, payload []byte, err error) {
+	fail := func(format string, args ...any) (byte, uint64, []collection.KeyRect, []byte, error) {
+		return 0, 0, nil, nil, fmt.Errorf(format, args...)
 	}
-	defer f.Close()
-	lsn, r, err := wal.ReadSnapshotHeader(f)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("server: %s: %w", path, err)
+	if len(data) < snapHeaderLen+1+4 || [8]byte(data[:8]) != snapMagic {
+		return fail("not a snapshot file (bad magic or too short)")
 	}
-	pairs, r, err := collection.ReadKeyedSection(r)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("server: %s: %w", path, err)
+	body := data[:len(data)-4]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[len(body):]) {
+		return fail("snapshot checksum mismatch (file is torn or corrupt)")
 	}
-	st, err := shard.Decode(r, opts)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("server: %s: %w", path, err)
+	if v := binary.LittleEndian.Uint32(body[8:]); v != snapVersion {
+		return fail("unsupported snapshot version %d", v)
 	}
-	return st, pairs, lsn, nil
+	kind, lsn = body[12], binary.LittleEndian.Uint64(body[13:])
+	if kind != kindSingle && kind != kindSharded {
+		return fail("unknown snapshot index kind %d", kind)
+	}
+	rest := body[snapHeaderLen:]
+	count, n := binary.Uvarint(rest)
+	if n <= 0 {
+		return fail("bad key map count")
+	}
+	rest = rest[n:]
+	if count > uint64(len(rest))/snapMinPair {
+		return fail("key map claims %d pairs in %d bytes", count, len(rest))
+	}
+	pairs = make([]collection.KeyRect, count)
+	for i := range pairs {
+		klen, n := binary.Uvarint(rest)
+		if n <= 0 || uint64(len(rest)-n) < 32 || klen > uint64(len(rest)-n-32) {
+			return fail("key map pair %d overruns the file", i)
+		}
+		key, coords := rest[n:n+int(klen)], rest[n+int(klen):]
+		var c [4]float64
+		for j := range c {
+			c[j] = math.Float64frombits(binary.LittleEndian.Uint64(coords[8*j:]))
+		}
+		pairs[i] = collection.KeyRect{Key: string(key), Rect: geom.Rect{MinX: c[0], MinY: c[1], MaxX: c[2], MaxY: c[3]}}
+		rest = coords[32:]
+	}
+	return kind, lsn, pairs, rest, nil
 }
 
 // snapshotLoop writes periodic background snapshots until Close.

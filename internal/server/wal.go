@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"hash/maphash"
-	"io"
 	"strconv"
 	"strings"
 
@@ -12,35 +11,40 @@ import (
 	"github.com/rlr-tree/rlrtree/internal/wal"
 )
 
-// WAL integration: every mutating endpoint appends its operation to the
-// write-ahead log *before* applying it to the index, so an acknowledged
-// write is durable per the log's fsync policy and a crash loses nothing
-// the client was told succeeded.
+// WAL integration: with a log attached, every mutating endpoint appends
+// its operation to the write-ahead log *before* applying it to the
+// index, so an acknowledged write is durable per the log's fsync policy
+// and a crash loses nothing the client was told succeeded.
 //
-// Consistency between the log and snapshots is enforced by walMu, a
-// readers-writer lock with inverted roles: every mutation holds it
-// SHARED for its append+apply critical section (mutations still run
-// concurrently with each other — per-shard parallelism is untouched),
-// while the snapshot capture holds it EXCLUSIVE just long enough to read
-// the last LSN and clone the index. With no mutation mid-flight between
-// its append and its apply, the clone's state corresponds exactly to the
-// captured LSN: replaying records after that LSN neither duplicates nor
-// drops a write. The expensive snapshot encoding runs outside the lock
-// (see SnapshotPreparer). Epoch publication in rtree.ConcurrentTree
+// Consistency between mutations and snapshots is enforced by walMu, a
+// readers-writer lock with inverted roles: every mutation — with or
+// without a log — holds it SHARED for its append+apply critical section
+// (mutations still run concurrently with each other — per-shard
+// parallelism is untouched), while the snapshot capture holds it
+// EXCLUSIVE just long enough to read the last LSN, copy the key map and
+// clone the index. With no mutation mid-flight — neither between its
+// append and its apply, nor between a keyed move's index delete, index
+// insert and key-map update — the key map, the clone and the captured
+// LSN describe one instant: the restored collection validates, and
+// replaying records after that LSN neither duplicates nor drops a
+// write. The expensive snapshot encoding runs outside the lock
+// (Index.PrepareSnapshot). Epoch publication in rtree.ConcurrentTree
 // preserves this argument unchanged: an index mutation returns — and so
 // releases its shared hold on walMu — only after publishing the epoch
 // containing it, so the epoch the exclusive capture clones reflects
 // every mutation whose append the captured LSN covers.
 //
-// walMu alone does not order two concurrent mutations against EACH
-// OTHER: writer A could append insert(X) at LSN 1, writer B append
+// walMu alone does not order two concurrent LOGGED mutations against
+// EACH OTHER: writer A could append insert(X) at LSN 1, writer B append
 // delete(X) at LSN 2 yet apply first, and both acknowledgements would
 // then contradict a crash replay (which applies in LSN order). Ops on
 // distinct IDs commute in the index, so only same-ID races matter;
 // idMu stripes per-ID ordering on top of walMu — every mutation holds
 // the stripe of each ID it touches across its append+apply pair, making
 // log order equal apply order per key while unrelated IDs stay fully
-// concurrent.
+// concurrent. Without a log there is no second order to agree with, so
+// unlogged mutations skip the stripes (the collection's own key stripe
+// already serializes a key's moves).
 
 // idStripes is the size of the per-ID ordering lock set. 64 keeps the
 // acquired-stripe set representable as one uint64 bitmask.
@@ -71,37 +75,27 @@ func (s *Server) lockIDs(ids []string) (unlock func()) {
 	}
 }
 
-// SnapshotPreparer is implemented by indexes that can split snapshotting
-// into a cheap capture phase (clone under the index's own locks) and a
-// deferred encode phase. Both rtree.ConcurrentTree and shard.ShardedTree
-// implement it; a WAL-enabled server serving an index without it must
-// hold the snapshot lock across the entire encode.
-type SnapshotPreparer interface {
-	PrepareSnapshot() func(w io.Writer) error
-}
-
-// appendInsert logs the batch and applies it, under the shared half of
-// the snapshot lock plus the ID stripes of every inserted object.
+// appendInsert applies the batch under the shared half of the snapshot
+// lock; with a log attached it first appends it, under the ID stripes of
+// every inserted object (the other three helpers follow the same shape).
 // single selects the compact single-object record type for one-item
 // batches. Returns an error — without applying — when the log rejects
 // the append: a write the WAL cannot make durable must not become
 // visible.
 func (s *Server) appendInsert(rects []geom.Rect, data []any, ids []string, single bool) error {
-	if s.cfg.WAL == nil {
-		s.index.InsertBatch(rects, data)
-		return nil
-	}
 	s.walMu.RLock()
 	defer s.walMu.RUnlock()
-	defer s.lockIDs(ids)()
-	var err error
-	if single {
-		_, err = s.cfg.WAL.AppendInsert(rects[0], ids[0])
-	} else {
-		_, err = s.cfg.WAL.AppendInsertBatch(rects, ids)
-	}
-	if err != nil {
-		return fmt.Errorf("wal append failed, insert not applied: %w", err)
+	if s.cfg.WAL != nil {
+		defer s.lockIDs(ids)()
+		var err error
+		if single {
+			_, err = s.cfg.WAL.AppendInsert(rects[0], ids[0])
+		} else {
+			_, err = s.cfg.WAL.AppendInsertBatch(rects, ids)
+		}
+		if err != nil {
+			return fmt.Errorf("wal append failed, insert not applied: %w", err)
+		}
 	}
 	s.index.InsertBatch(rects, data)
 	return nil
@@ -112,14 +106,13 @@ func (s *Server) appendInsert(rects []geom.Rect, data []any, ids []string, singl
 // leaves a record in the log; replaying it is a no-op, so correctness
 // is unaffected.
 func (s *Server) appendDelete(r geom.Rect, id string) (bool, error) {
-	if s.cfg.WAL == nil {
-		return s.index.Delete(r, id), nil
-	}
 	s.walMu.RLock()
 	defer s.walMu.RUnlock()
-	defer s.lockIDs([]string{id})()
-	if _, err := s.cfg.WAL.AppendDelete(r, id); err != nil {
-		return false, fmt.Errorf("wal append failed, delete not applied: %w", err)
+	if s.cfg.WAL != nil {
+		defer s.lockIDs([]string{id})()
+		if _, err := s.cfg.WAL.AppendDelete(r, id); err != nil {
+			return false, fmt.Errorf("wal append failed, delete not applied: %w", err)
+		}
 	}
 	return s.index.Delete(r, id), nil
 }
@@ -133,14 +126,13 @@ func (s *Server) appendDelete(r geom.Rect, id string) (bool, error) {
 // the index locks strictly inside that, so the order is acyclic (see
 // DESIGN.md §13).
 func (s *Server) appendSet(key string, r geom.Rect) (collection.SetResult, error) {
-	if s.cfg.WAL == nil {
-		return s.coll.Set(key, r), nil
-	}
 	s.walMu.RLock()
 	defer s.walMu.RUnlock()
-	defer s.lockIDs([]string{key})()
-	if _, err := s.cfg.WAL.AppendSet(r, key); err != nil {
-		return collection.SetResult{}, fmt.Errorf("wal append failed, set not applied: %w", err)
+	if s.cfg.WAL != nil {
+		defer s.lockIDs([]string{key})()
+		if _, err := s.cfg.WAL.AppendSet(r, key); err != nil {
+			return collection.SetResult{}, fmt.Errorf("wal append failed, set not applied: %w", err)
+		}
 	}
 	return s.coll.Set(key, r), nil
 }
@@ -149,16 +141,14 @@ func (s *Server) appendSet(key string, r geom.Rect) (collection.SetResult, error
 // the key's position at append time (informational — replay deletes by
 // key); a del of an absent key logs rect zero and replays as a no-op.
 func (s *Server) appendDelKey(key string) (bool, error) {
-	if s.cfg.WAL == nil {
-		_, ok := s.coll.Del(key)
-		return ok, nil
-	}
 	s.walMu.RLock()
 	defer s.walMu.RUnlock()
-	defer s.lockIDs([]string{key})()
-	rect, _ := s.coll.Get(key)
-	if _, err := s.cfg.WAL.AppendDelKey(rect, key); err != nil {
-		return false, fmt.Errorf("wal append failed, del not applied: %w", err)
+	if s.cfg.WAL != nil {
+		defer s.lockIDs([]string{key})()
+		rect, _ := s.coll.Get(key)
+		if _, err := s.cfg.WAL.AppendDelKey(rect, key); err != nil {
+			return false, fmt.Errorf("wal append failed, del not applied: %w", err)
+		}
 	}
 	_, ok := s.coll.Del(key)
 	return ok, nil
@@ -182,7 +172,7 @@ type RecoveryResult struct {
 // before the server starts handling requests.
 //
 // coll receives the keyed records (RecSet/RecDelKey); build it over idx
-// with collection.Restore from the snapshot's keyed section and pass
+// with collection.Restore from the snapshot's key map and pass
 // the same instance to Config.Collection. A nil coll rejects keyed
 // records — only valid for logs written by a pre-keyed server.
 func Recover(w *wal.WAL, afterLSN uint64, idx Index, coll *collection.Collection, logf func(format string, args ...any)) (RecoveryResult, error) {

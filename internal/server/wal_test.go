@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/rlr-tree/rlrtree/internal/collection"
 	"github.com/rlr-tree/rlrtree/internal/geom"
 	"github.com/rlr-tree/rlrtree/internal/rtree"
 	"github.com/rlr-tree/rlrtree/internal/shard"
@@ -179,14 +180,10 @@ func TestServerWALCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	tree2, lsn, err := LoadSnapshotLSN(snap, rtree.Options{MaxEntries: 16, MinEntries: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx2, _, lsn := loadSingle(t, snap)
 	if lsn == 0 {
 		t.Fatal("snapshot carries no LSN")
 	}
-	idx2 := rtree.NewConcurrent(tree2)
 	res, err := Recover(w2, lsn, idx2, nil, t.Logf)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +194,7 @@ func TestServerWALCrashRecovery(t *testing.T) {
 	if got, want := indexIDs(t, idx2), oracleIDs(oracle); !equalStrings(got, want) {
 		t.Fatalf("recovered %d IDs, oracle %d:\n got %v\nwant %v", len(got), len(want), got, want)
 	}
-	if err := tree2.Validate(); err != nil {
+	if err := idx2.Validate(); err != nil {
 		t.Fatalf("recovered tree invalid: %v", err)
 	}
 
@@ -247,11 +244,7 @@ func TestServerWALSnapshotRetiresSegments(t *testing.T) {
 	}
 	// Everything the snapshot covers is gone from disk, yet restore +
 	// replay still reproduces the full state.
-	tree2, lsn, err := LoadSnapshotLSN(filepath.Join(dir, "tree.gob"), rtree.Options{MaxEntries: 16, MinEntries: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx2 := rtree.NewConcurrent(tree2)
+	idx2, _, lsn := loadSingle(t, filepath.Join(dir, "tree.gob"))
 	if _, err := Recover(w, lsn, idx2, nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -373,79 +366,128 @@ func TestServerWALShardedRecovery(t *testing.T) {
 
 // TestConcurrentSnapshotsAndWrites hammers SaveSnapshot from several
 // goroutines (the POST /snapshot + background-loop + Close shape) while
-// writers insert, with tiny segments so snapshots retire segments
-// throughout. SaveSnapshot is single-flighted; without that, a save
+// writers move keyed objects, with and without a log. Every snapshot
+// must describe one instant: restored, its key map and its index agree
+// (collection.Validate) — without the capture lock a SET mid-move is
+// captured with its key map entry at one position and its index object
+// at another. With a log, tiny segments make snapshots retire segments
+// throughout; SaveSnapshot is single-flighted, and without that a save
 // carrying an older LSN could land over a newer one whose segments were
-// already retired, and the recovery below would either hit the replay
+// already retired, so the recovery below would either hit the replay
 // gap check or come up short of the acknowledged writes.
 func TestConcurrentSnapshotsAndWrites(t *testing.T) {
-	dir := t.TempDir()
-	walOpts := wal.Options{Dir: filepath.Join(dir, "wal"), SegmentBytes: 512, Sync: wal.SyncNone, Epoch: 1}
-	w1, err := wal.Open(walOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := filepath.Join(dir, "tree.gob")
-	s, _ := newWALTestServer(t, w1, snap, 0)
+	for _, withWAL := range []bool{true, false} {
+		t.Run(fmt.Sprintf("wal=%v", withWAL), func(t *testing.T) {
+			dir := t.TempDir()
+			walOpts := wal.Options{Dir: filepath.Join(dir, "wal"), SegmentBytes: 512, Sync: wal.SyncNone, Epoch: 1}
+			var w1 *wal.WAL
+			if withWAL {
+				var err error
+				if w1, err = wal.Open(walOpts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := filepath.Join(dir, "tree.gob")
+			s, _ := newWALTestServer(t, w1, snap, 0)
 
-	const writers, perWriter, snappers, snapsEach = 4, 60, 3, 8
-	oracle := make(map[string]geom.Rect)
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
-	for c := 0; c < writers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(c)))
-			for i := 0; i < perWriter; i++ {
-				id := fmt.Sprintf("w%d-%02d", c, i)
+			// Each writer owns its keys — placed up front, then moved round and
+			// round until the snapshotters are done — so the last acknowledged
+			// position of every key is well defined.
+			const writers, keysEach, snappers, snapsEach = 2, 1500, 3, 6
+			oracle := make(map[string]geom.Rect)
+			var mu sync.Mutex
+			set := func(rng *rand.Rand, c, k int) error {
+				key := fmt.Sprintf("w%d-%04d", c, k)
 				r := geom.Square(rng.Float64(), rng.Float64(), 0.005)
-				if err := s.appendInsert([]geom.Rect{r}, []any{id}, []string{id}, true); err != nil {
-					t.Errorf("insert %s: %v", id, err)
-					return
+				if _, err := s.appendSet(key, r); err != nil {
+					return fmt.Errorf("set %s: %v", key, err)
 				}
 				mu.Lock()
-				oracle[id] = r
+				oracle[key] = r
 				mu.Unlock()
+				return nil
 			}
-		}(c)
-	}
-	for c := 0; c < snappers; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < snapsEach; i++ {
+			var (
+				moving, snapping sync.WaitGroup
+				stop             = make(chan struct{})
+			)
+			for c := 0; c < writers; c++ {
+				rng := rand.New(rand.NewSource(int64(c)))
+				for k := 0; k < keysEach; k++ {
+					if err := set(rng, c, k); err != nil {
+						t.Fatal(err)
+					}
+				}
+				moving.Add(1)
+				go func(c int) {
+					defer moving.Done()
+					for k := 0; ; k = (k + 1) % keysEach {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if err := set(rng, c, k); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(c)
+			}
+			opts := shard.Options{Tree: rtree.Options{MaxEntries: 16, MinEntries: 6}}
+			for c := 0; c < snappers; c++ {
+				snapping.Add(1)
+				go func() {
+					defer snapping.Done()
+					for i := 0; i < snapsEach; i++ {
+						if err := s.SaveSnapshot(); err != nil {
+							t.Errorf("snapshot: %v", err)
+							return
+						}
+						idx, pairs, _, err := LoadSnapshot(snap, opts)
+						if err != nil {
+							t.Errorf("load: %v", err)
+							return
+						}
+						if err := collection.Restore(idx, pairs).Validate(); err != nil {
+							t.Errorf("snapshot taken under concurrent SETs is torn: %v", err)
+							return
+						}
+					}
+				}()
+			}
+			snapping.Wait()
+			close(stop)
+			moving.Wait()
+			if t.Failed() {
+				t.FailNow()
+			}
+
+			// With a log: crash (abandon everything un-closed) and recover —
+			// the snapshot's LSN and the surviving segments must still join
+			// up. Without: a final snapshot is the whole state.
+			if !withWAL {
 				if err := s.SaveSnapshot(); err != nil {
-					t.Errorf("snapshot: %v", err)
-					return
+					t.Fatal(err)
 				}
 			}
-		}()
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-
-	// Crash (abandon everything un-closed) and recover: the snapshot's
-	// LSN and the surviving segments must still join up.
-	w2, err := wal.Open(walOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	tree2, lsn, err := LoadSnapshotLSN(snap, rtree.Options{MaxEntries: 16, MinEntries: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx2 := rtree.NewConcurrent(tree2)
-	if _, err := Recover(w2, lsn, idx2, nil, t.Logf); err != nil {
-		t.Fatalf("recovery after concurrent snapshots: %v", err)
-	}
-	if got, want := indexIDs(t, idx2), oracleIDs(oracle); !equalStrings(got, want) {
-		t.Fatalf("recovered %d IDs, oracle %d", len(got), len(want))
+			idx2, pairs, lsn := loadSingle(t, snap)
+			coll2 := collection.Restore(idx2, pairs)
+			if withWAL {
+				w2, err := wal.Open(walOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer w2.Close()
+				if _, err := Recover(w2, lsn, idx2, coll2, t.Logf); err != nil {
+					t.Fatalf("recovery after concurrent snapshots: %v", err)
+				}
+			}
+			diffStates(t, collState(coll2), oracle)
+			if err := coll2.Validate(); err != nil {
+				t.Fatalf("recovered collection invalid: %v", err)
+			}
+		})
 	}
 }
 

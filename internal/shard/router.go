@@ -76,20 +76,8 @@ func NewRouter(world geom.Rect, gridBits, n int) Router {
 	return rt
 }
 
-// newRouterRoundRobin returns a router with the legacy round-robin
-// assignment (cell z to shard z mod n). Version-1 snapshots placed their
-// objects with this table, so decoding one must reconstruct it — the
-// contiguous default would route those objects to the wrong shards.
-func newRouterRoundRobin(world geom.Rect, gridBits, n int) Router {
-	rt := newRouterEmpty(world, gridBits, n)
-	for c := range rt.assign {
-		rt.assign[c].Store(int32(c % n))
-	}
-	return rt
-}
-
 // newRouterAssigned returns a router with an explicit assignment table,
-// as restored from a version-2 snapshot. Entries must be in [0, n).
+// as restored from a snapshot. Entries must be in [0, n).
 func newRouterAssigned(world geom.Rect, gridBits, n int, assign []int32) Router {
 	rt := newRouterEmpty(world, gridBits, n)
 	for c := range rt.assign {

@@ -16,23 +16,21 @@ import (
 // snapshot format (a 1-shard snapshot and a plain tree snapshot differ
 // only by this envelope).
 //
-// Version 2 added the adaptive-routing state: the cell→shard assignment
-// (restoring with the wrong table would route deletes to the wrong
-// shards), the per-cell heat counters (so a restart does not forget the
-// observed workload), and the cell/shard bounds summaries. The bounds
-// must travel in the snapshot rather than be rebuilt tight from the
-// trees: they are maintained incrementally and may be loose after
-// deletes, and the round-trip tests pin query *stats* identity between
-// an index and its restored copy — identical pruning decisions require
-// identical bounds. Version-1 snapshots (which placed objects with the
-// legacy round-robin cell assignment) still decode transparently.
+// The adaptive-routing state travels with the trees: the cell→shard
+// assignment (restoring with the wrong table would route deletes to the
+// wrong shards), the per-cell heat counters (so a restart does not
+// forget the observed workload), and the cell/shard bounds summaries.
+// The bounds must travel in the snapshot rather than be rebuilt tight
+// from the trees: they are maintained incrementally and may be loose
+// after deletes, and the round-trip tests pin query *stats* identity
+// between an index and its restored copy — identical pruning decisions
+// require identical bounds.
 type wireSharded struct {
 	Version  int
 	GridBits int
 	World    geom.Rect
 	Shards   [][]byte
 
-	// Version >= 2 fields; zero-valued when decoding version 1.
 	Assign     []int32     // cell → shard
 	Heat       []uint64    // cell → decayed heat counter
 	CellRects  []geom.Rect // cell → bounds cover ({} when empty)
@@ -111,15 +109,12 @@ func (s *ShardedTree) PrepareSnapshot() func(w io.Writer) error {
 }
 
 // Decode reads a sharded tree previously written by EncodeSnapshot. The
-// shard count, grid resolution, world frame and (version 2) cell→shard
-// assignment come from the snapshot — they determine where every stored
-// object lives, so restoring with a different routing configuration
-// would break Delete. Version-1 snapshots reconstruct the legacy
-// round-robin assignment their objects were placed with, and rebuild
-// tight bounds from the restored trees; version-2 snapshots restore the
-// serialized bounds (unioned with the rebuilt covers, so a snapshot
-// captured under concurrent writers still yields conservative bounds)
-// and heat. Every restored shard is validated (rtree.Decode runs the
+// shard count, grid resolution, world frame and cell→shard assignment
+// come from the snapshot — they determine where every stored object
+// lives, so restoring with a different routing configuration would
+// break Delete. The serialized bounds are restored unioned with covers
+// rebuilt from the trees, so a snapshot captured under concurrent
+// writers still yields conservative bounds. Every restored shard is validated (rtree.Decode runs the
 // invariant checker) and every restored object is checked to route to
 // the shard that holds it. opts.Tree supplies the insertion strategies
 // for future writes, exactly like rtree.Decode; its Shards/GridBits/
@@ -129,7 +124,7 @@ func Decode(r io.Reader, opts Options) (*ShardedTree, error) {
 	if err := gob.NewDecoder(r).Decode(&wt); err != nil {
 		return nil, fmt.Errorf("shard: decode: %w", err)
 	}
-	if wt.Version < 1 || wt.Version > wireVersion {
+	if wt.Version != wireVersion {
 		return nil, fmt.Errorf("shard: unsupported wire version %d", wt.Version)
 	}
 	if len(wt.Shards) < 1 {
@@ -143,25 +138,20 @@ func Decode(r io.Reader, opts Options) (*ShardedTree, error) {
 		return nil, err
 	}
 	cells := s.router.Cells()
-	switch wt.Version {
-	case 1:
-		s.router = newRouterRoundRobin(wt.World, wt.GridBits, opts.Shards)
-	default:
-		if len(wt.Assign) != cells {
-			return nil, fmt.Errorf("shard: snapshot assignment table has %d cells, want %d", len(wt.Assign), cells)
+	if len(wt.Assign) != cells {
+		return nil, fmt.Errorf("shard: snapshot assignment table has %d cells, want %d", len(wt.Assign), cells)
+	}
+	for c, a := range wt.Assign {
+		if int(a) < 0 || int(a) >= opts.Shards {
+			return nil, fmt.Errorf("shard: snapshot assigns cell %d to shard %d of %d", c, a, opts.Shards)
 		}
-		for c, a := range wt.Assign {
-			if int(a) < 0 || int(a) >= opts.Shards {
-				return nil, fmt.Errorf("shard: snapshot assigns cell %d to shard %d of %d", c, a, opts.Shards)
-			}
-		}
-		if len(wt.Heat) != cells || len(wt.CellRects) != cells || len(wt.CellCounts) != cells || len(wt.ShardRects) != opts.Shards {
-			return nil, fmt.Errorf("shard: snapshot cell tables malformed")
-		}
-		s.router = newRouterAssigned(wt.World, wt.GridBits, opts.Shards, wt.Assign)
-		for c := range wt.Heat {
-			s.heat[c].Store(wt.Heat[c])
-		}
+	}
+	if len(wt.Heat) != cells || len(wt.CellRects) != cells || len(wt.CellCounts) != cells || len(wt.ShardRects) != opts.Shards {
+		return nil, fmt.Errorf("shard: snapshot cell tables malformed")
+	}
+	s.router = newRouterAssigned(wt.World, wt.GridBits, opts.Shards, wt.Assign)
+	for c := range wt.Heat {
+		s.heat[c].Store(wt.Heat[c])
 	}
 	walked := make([]cellBounds, cells)
 	for i, blob := range wt.Shards {
@@ -194,17 +184,15 @@ func Decode(r io.Reader, opts Options) (*ShardedTree, error) {
 	}
 	for c := range walked {
 		cb := walked[c]
-		if wt.Version >= 2 && cb.count > 0 && wt.CellCounts[c] > 0 {
+		if cb.count > 0 && wt.CellCounts[c] > 0 {
 			cb.rect = wt.CellRects[c].Union(cb.rect)
 		}
 		s.bounds.cells[c] = cb
 	}
 	for i := range s.shards {
 		s.bounds.recompute(i, &s.router)
-		if wt.Version >= 2 {
-			if b := s.bounds.shard(i); b.count > 0 {
-				s.bounds.agg[i].Store(&shardBounds{count: b.count, rect: b.rect.Union(wt.ShardRects[i])})
-			}
+		if b := s.bounds.shard(i); b.count > 0 {
+			s.bounds.agg[i].Store(&shardBounds{count: b.count, rect: b.rect.Union(wt.ShardRects[i])})
 		}
 	}
 	return s, nil

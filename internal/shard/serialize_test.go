@@ -2,13 +2,11 @@ package shard
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"testing"
 
 	"github.com/rlr-tree/rlrtree/internal/dataset"
 	"github.com/rlr-tree/rlrtree/internal/geom"
-	"github.com/rlr-tree/rlrtree/internal/rtree"
 )
 
 // TestSnapshotRoundTrip extends the single-tree gob round-trip pattern
@@ -106,7 +104,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripAfterMigration is the version-2 contract: the
+// TestSnapshotRoundTripAfterMigration is the adaptive-routing contract: the
 // migrated cell→shard assignment, the heat counters and the (possibly
 // loose, post-delete) bounds summaries all survive the round trip, so
 // the restored tree makes the *identical pruning decisions* — pinned by
@@ -181,62 +179,6 @@ func TestSnapshotRoundTripAfterMigration(t *testing.T) {
 	}
 }
 
-// TestDecodeV1RoundRobin hand-crafts a version-1 snapshot (the pre-PR-8
-// wire format, which carried no assignment table because placement was
-// implicitly round-robin) and requires transparent decode: the legacy
-// assignment is reconstructed so every stored object still routes to
-// the shard that holds it, bounds are rebuilt tight, and deletes work.
-func TestDecodeV1RoundRobin(t *testing.T) {
-	const shards = 3
-	world := geom.NewRect(0, 0, 1, 1)
-	rr := newRouterRoundRobin(world, DefaultGridBits, shards)
-	data := dataset.MustGenerate(dataset.UNI, 600, 33)
-	trees := make([]*rtree.Tree, shards)
-	for i := range trees {
-		trees[i] = rtree.New(testTreeOpts())
-	}
-	for i, r := range data {
-		trees[rr.Shard(r)].Insert(r, i)
-	}
-	blobs := make([][]byte, shards)
-	for i, tr := range trees {
-		var buf bytes.Buffer
-		if err := tr.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		blobs[i] = buf.Bytes()
-	}
-	var buf bytes.Buffer
-	wt := wireSharded{Version: 1, GridBits: DefaultGridBits, World: world, Shards: blobs}
-	if err := gob.NewEncoder(&buf).Encode(wt); err != nil {
-		t.Fatal(err)
-	}
-
-	restored, err := Decode(&buf, Options{Tree: testTreeOpts()})
-	if err != nil {
-		t.Fatalf("version-1 snapshot failed to decode: %v", err)
-	}
-	if restored.Len() != len(data) {
-		t.Fatalf("restored %d objects, want %d", restored.Len(), len(data))
-	}
-	for c := 0; c < restored.Router().Cells(); c++ {
-		if got := restored.Router().CellShard(c); got != c%shards {
-			t.Fatalf("cell %d assigned to shard %d, want legacy round-robin %d", c, got, c%shards)
-		}
-	}
-	if err := restored.Validate(); err != nil {
-		t.Fatalf("restored v1 tree invalid: %v", err)
-	}
-	if res, _ := restored.Search(world); len(res) != len(data) {
-		t.Fatalf("full-world query found %d of %d objects", len(res), len(data))
-	}
-	for i := 0; i < 50; i++ {
-		if !restored.Delete(data[i], i) {
-			t.Fatalf("v1-restored tree cannot delete object %d", i)
-		}
-	}
-}
-
 // TestDecodeRejectsGarbage mirrors rtree's decoder hardening for the
 // sharded envelope.
 func TestDecodeRejectsGarbage(t *testing.T) {
@@ -246,7 +188,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	// A valid gob stream of the wrong shape must also fail.
 	var buf bytes.Buffer
 	s := newTestSharded(t, 2)
-	if err := s.Shard(0).EncodeSnapshot(&buf); err != nil {
+	if err := s.Shard(0).PrepareSnapshot()(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Decode(&buf, Options{Tree: testTreeOpts()}); err == nil {

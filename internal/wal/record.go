@@ -10,8 +10,8 @@
 // header and holds a run of consecutive records; when a segment reaches
 // Options.SegmentBytes the log rotates to a new file (records never
 // straddle segments). Recovery restores the newest snapshot (whose
-// envelope carries the log sequence number it covers, see snapshot.go)
-// and replays every record with a higher LSN; the first record that
+// header carries the log sequence number it covers, see
+// internal/server/snapshot.go) and replays every record with a higher LSN; the first record that
 // fails its checksum — a torn tail from a crash mid-write, or later
 // corruption — truncates the log at that point. A successful snapshot
 // advances the durable LSN and retires segments that are entirely

@@ -165,11 +165,10 @@ func TrainCombined(data []Rect, cfg TrainConfig) (*Policy, *TrainReport, error) 
 func LoadPolicy(path string) (*Policy, error) { return core.LoadPolicy(path) }
 
 // Policy-inference engine types. A trained policy's DQN can be distilled
-// into cheaper exact-inference backends: a branch-table policy (a
-// depth-bounded decision tree evaluated as a flat-array walk) and a
-// quantized int16 fixed-point copy of the network. The bundle carries
-// the reference MLP plus those artifacts; HotPolicy serves any of them
-// behind an atomically swappable chooser/splitter pair.
+// into a cheaper inference backend: a branch-table policy (a
+// depth-bounded decision tree evaluated as a flat-array walk). The
+// bundle carries the reference MLP plus that artifact; HotPolicy serves
+// either behind an atomically swappable chooser/splitter pair.
 type (
 	// PolicyBundle is a Policy plus its optional distilled artifacts.
 	// Save writes a v2 policy file when distilled; LoadBundle reads
@@ -179,7 +178,7 @@ type (
 	// distiller defaults.
 	DistillConfig = core.DistillConfig
 	// DistillReport carries per-operation agreement between the MLP and
-	// each compiled backend on held-out states.
+	// the distilled table on the states it was fitted on.
 	DistillReport = core.DistillReport
 	// HotPolicy publishes a policy bundle's inference engines behind an
 	// atomic pointer so the serving insert path can switch backends (or
@@ -188,8 +187,8 @@ type (
 	HotPolicy = core.HotPolicy
 )
 
-// Distill compiles the policy's networks into branch-table and quantized
-// backends and returns them as a bundle alongside an agreement report.
+// Distill compiles the policy's networks into branch tables and returns
+// them as a bundle alongside an agreement report.
 func Distill(p *Policy, cfg DistillConfig) (*PolicyBundle, *DistillReport, error) {
 	return core.Distill(p, cfg)
 }
@@ -199,7 +198,7 @@ func Distill(p *Policy, cfg DistillConfig) (*PolicyBundle, *DistillReport, error
 func LoadBundle(path string) (*PolicyBundle, error) { return core.LoadBundle(path) }
 
 // NewHotPolicy wraps a bundle for hot-swappable serving. Kind selects
-// the initial backend: "auto", "mlp", "table" or "qmlp" (PolicyKinds).
+// the initial backend: "auto", "mlp" or "table" (PolicyKinds).
 func NewHotPolicy(b *PolicyBundle, kind string) (*HotPolicy, error) {
 	return core.NewHotPolicy(b, kind)
 }
@@ -377,8 +376,8 @@ type (
 func NewCollection(ix Spatial) *Collection { return collection.New(ix) }
 
 // RestoreCollection rebuilds a collection whose key map comes from a
-// snapshot's keyed section while ix was restored from the same snapshot's
-// index payload; see collection.Restore for the pairing contract.
+// snapshot while ix was restored from the same snapshot's index
+// payload; see collection.Restore for the pairing contract.
 func RestoreCollection(ix Spatial, pairs []KeyRect) *Collection {
 	return collection.Restore(ix, pairs)
 }

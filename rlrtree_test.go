@@ -140,7 +140,7 @@ func TestPublicDistillAndHotPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.ChooseTable == nil || back.ChooseQuant == nil {
+	if back.ChooseTable == nil {
 		t.Fatalf("reloaded bundle lost artifacts")
 	}
 	// The hot policy drives a tree and swaps backends mid-stream.
@@ -155,7 +155,7 @@ func TestPublicDistillAndHotPolicy(t *testing.T) {
 	for i, r := range data[:700] {
 		tree.Insert(r, i)
 	}
-	if err := hot.Swap(nil, "qmlp"); err != nil {
+	if err := hot.Swap(nil, "mlp"); err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range data[700:] {
@@ -167,7 +167,7 @@ func TestPublicDistillAndHotPolicy(t *testing.T) {
 	if tree.Len() != len(data) {
 		t.Fatalf("tree holds %d objects, want %d", tree.Len(), len(data))
 	}
-	if got := len(rlrtree.PolicyKinds()); got != 4 {
+	if got := len(rlrtree.PolicyKinds()); got != 3 {
 		t.Fatalf("PolicyKinds has %d entries", got)
 	}
 }
