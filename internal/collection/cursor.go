@@ -3,8 +3,10 @@ package collection
 import (
 	"encoding/base64"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -45,39 +47,83 @@ type cursor struct {
 // encodeRangeCursor returns the token resuming a range query strictly
 // after key.
 func encodeRangeCursor(key string) string {
-	return rangeCursorPrefix + base64.RawURLEncoding.EncodeToString([]byte(key))
+	var sb strings.Builder
+	sb.Grow(len(rangeCursorPrefix) + base64.RawURLEncoding.EncodedLen(len(key)))
+	sb.WriteString(rangeCursorPrefix)
+	writeKey(&sb, key)
+	return sb.String()
 }
 
 // encodeNearbyCursor returns the token resuming a Nearby query strictly
 // after (distSq, key).
 func encodeNearbyCursor(distSq float64, key string) string {
 	var bits [8]byte
+	var digits [16]byte
 	binary.BigEndian.PutUint64(bits[:], math.Float64bits(distSq))
-	return nearbyCursorPrefix + fmt.Sprintf("%016x", bits) + "." +
-		base64.RawURLEncoding.EncodeToString([]byte(key))
+	hex.Encode(digits[:], bits[:])
+	var sb strings.Builder
+	sb.Grow(len(nearbyCursorPrefix) + len(digits) + 1 + base64.RawURLEncoding.EncodedLen(len(key)))
+	sb.WriteString(nearbyCursorPrefix)
+	sb.Write(digits[:])
+	sb.WriteByte('.')
+	writeKey(&sb, key)
+	return sb.String()
+}
+
+// writeKey writes base64url(key), unpadded, through a stack buffer, so
+// a token costs the one allocation of its string. Chunks are a multiple
+// of 3 bytes, where base64 has no padding, so they concatenate to the
+// encoding of the whole key.
+func writeKey(sb *strings.Builder, key string) {
+	var src [48]byte
+	var dst [64]byte
+	for len(key) > 0 {
+		n := copy(src[:], key)
+		key = key[n:]
+		m := base64.RawURLEncoding.EncodedLen(n)
+		base64.RawURLEncoding.Encode(dst[:m], src[:n])
+		sb.Write(dst[:m])
+	}
+}
+
+// encode returns the token of a parsed cursor.
+func (c cursor) encode() string {
+	switch {
+	case !c.started:
+		return ""
+	case c.nearby:
+		return encodeNearbyCursor(c.dist, c.key)
+	default:
+		return encodeRangeCursor(c.key)
+	}
 }
 
 // parseCursor decodes a token of either kind; nearby reports which
-// order the token belongs to so the query can reject a mismatch.
+// order the token belongs to so the query can reject a mismatch. Only
+// the canonical form the encoders write is accepted: base64 and hex
+// both have several spellings of one value (upper-case digits, unused
+// trailing bits, ignored line breaks), and a token that does not
+// re-encode to itself is rejected rather than silently read as another.
 func parseCursor(tok string) (cursor, error) {
 	if tok == "" {
 		return cursor{}, nil
 	}
+	var c cursor
 	switch {
 	case strings.HasPrefix(tok, rangeCursorPrefix):
 		key, err := base64.RawURLEncoding.DecodeString(tok[len(rangeCursorPrefix):])
 		if err != nil {
 			return cursor{}, fmt.Errorf("collection: bad cursor %q: %w", tok, err)
 		}
-		return cursor{started: true, key: string(key)}, nil
+		c = cursor{started: true, key: string(key)}
 	case strings.HasPrefix(tok, nearbyCursorPrefix):
 		rest := tok[len(nearbyCursorPrefix):]
-		hex, b64, ok := strings.Cut(rest, ".")
-		if !ok || len(hex) != 16 {
+		hexBits, b64, ok := strings.Cut(rest, ".")
+		if !ok || len(hexBits) != 16 {
 			return cursor{}, fmt.Errorf("collection: bad nearby cursor %q", tok)
 		}
-		var bits uint64
-		if _, err := fmt.Sscanf(hex, "%016x", &bits); err != nil {
+		bits, err := strconv.ParseUint(hexBits, 16, 64)
+		if err != nil {
 			return cursor{}, fmt.Errorf("collection: bad nearby cursor %q: %w", tok, err)
 		}
 		d := math.Float64frombits(bits)
@@ -88,10 +134,14 @@ func parseCursor(tok string) (cursor, error) {
 		if err != nil {
 			return cursor{}, fmt.Errorf("collection: bad cursor %q: %w", tok, err)
 		}
-		return cursor{started: true, key: string(key), dist: d, nearby: true}, nil
+		c = cursor{started: true, key: string(key), dist: d, nearby: true}
 	default:
 		return cursor{}, fmt.Errorf("collection: unrecognized cursor %q", tok)
 	}
+	if c.encode() != tok {
+		return cursor{}, fmt.Errorf("collection: non-canonical cursor %q", tok)
+	}
+	return c, nil
 }
 
 // after reports whether (distSq, key) sorts strictly after the cursor

@@ -1,7 +1,11 @@
 package collection
 
 import (
+	"encoding/base64"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"github.com/rlr-tree/rlrtree/internal/geom"
@@ -41,6 +45,7 @@ func TestCursorEdgeCases(t *testing.T) {
 			},
 			steps: []step{
 				{limit: 0, wantKeys: keysN(0, 10)},
+				{limit: math.MaxInt, wantKeys: keysN(0, 10)},
 			},
 		},
 		{
@@ -185,6 +190,79 @@ func TestCursorEdgeCases(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestCursorTokensCanonical pins the wire form of cursor tokens: the
+// encoders write the same bytes as the original fmt-based formula, and
+// parseCursor accepts exactly those bytes — no other spelling of the
+// same value, and no token a lenient hex or base64 reader would stretch
+// into one.
+func TestCursorTokensCanonical(t *testing.T) {
+	b64 := base64.RawURLEncoding.EncodeToString
+	for _, tc := range []struct {
+		dist float64
+		key  string
+	}{{0, "a"}, {1, "bus-1"}, {2.5e-300, ""}, {math.MaxFloat64, "ü/+?"}, {math.Inf(1), "z"}, {3, strings.Repeat("key", 40) + "!"}} {
+		var bits [8]byte
+		binary.BigEndian.PutUint64(bits[:], math.Float64bits(tc.dist))
+		want := "d." + fmt.Sprintf("%016x", bits) + "." + b64([]byte(tc.key))
+		if got := encodeNearbyCursor(tc.dist, tc.key); got != want {
+			t.Errorf("encodeNearbyCursor(%v, %q) = %q, want %q", tc.dist, tc.key, got, want)
+		}
+		if got, want := encodeRangeCursor(tc.key), "k."+b64([]byte(tc.key)); got != want {
+			t.Errorf("encodeRangeCursor(%q) = %q, want %q", tc.key, got, want)
+		}
+		c, err := parseCursor(want)
+		if err != nil || !c.started || !c.nearby || c.key != tc.key || math.Float64bits(c.dist) != math.Float64bits(tc.dist) {
+			t.Errorf("parseCursor(%q) = %+v, %v", want, c, err)
+		}
+	}
+
+	key := b64([]byte("k"))
+	for _, tok := range []string{
+		"d.3ff000000000000g." + key,  // a non-hex digit after 15 good ones
+		"d.3FF0000000000000." + key,  // upper-case hex
+		"d.3ff00000000000000." + key, // 17 digits
+		"d.+3ff000000000000." + key,  // a sign
+		"d.fff8000000000000." + key,  // NaN
+		"d.bff0000000000000." + key,  // negative distance
+		"d.3ff0000000000000",         // no key part
+		"d.3ff0000000000000.a",       // truncated base64
+		"k.aB",                       // unused trailing bits set
+		"k.aw\n",                     // a line break base64 would skip
+		"k.aw==",                     // padding
+		"x.aw",
+		"???",
+	} {
+		if c, err := parseCursor(tok); err == nil {
+			t.Errorf("parseCursor(%q) accepted as %+v", tok, c)
+		}
+	}
+}
+
+// FuzzParseCursor: parsing never panics, every accepted token re-encodes
+// to itself, and every key survives a range-cursor round trip.
+func FuzzParseCursor(f *testing.F) {
+	for _, seed := range []string{
+		"", "k.", "???", "k.aB", "d.3ff000000000000g.aw",
+		encodeRangeCursor("bus-1"), encodeNearbyCursor(0.25, "n-07"), encodeNearbyCursor(0, ""),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, tok string) {
+		if c, err := parseCursor(tok); err == nil {
+			if got := c.encode(); got != tok {
+				t.Fatalf("parseCursor(%q) = %+v, which encodes as %q", tok, c, got)
+			}
+			if c.nearby && (math.IsNaN(c.dist) || c.dist < 0) {
+				t.Fatalf("parseCursor(%q) accepted distance %v", tok, c.dist)
+			}
+		}
+		c, err := parseCursor(encodeRangeCursor(tok))
+		if err != nil || c.key != tok || c.nearby {
+			t.Fatalf("range cursor of key %q parsed as %+v, %v", tok, c, err)
+		}
+	})
 }
 
 // seedN stores n-00..n-<n-1> as unit squares marching up the diagonal,

@@ -1,8 +1,13 @@
 package collection
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 
 	"github.com/rlr-tree/rlrtree/internal/geom"
 	"github.com/rlr-tree/rlrtree/internal/rtree"
@@ -26,6 +31,31 @@ type item struct {
 	dist float64
 }
 
+// pageScratch is the reusable per-query state of the keyed queries: the
+// range selection heap and Nearby's neighbor and row buffers. Pooled
+// like the index's own query scratch, it makes a page allocate only the
+// page it returns, however many objects the query window holds.
+type pageScratch struct {
+	rows keyHeap
+	nbrs []rtree.Neighbor
+}
+
+var pagePool = sync.Pool{New: func() any { return new(pageScratch) }}
+
+// release drops the key strings parked in the buffers, so an idle pool
+// entry does not keep deleted keys alive, and returns s to the pool.
+// It clears the lengths, not the capacities, so the cost tracks this
+// query rather than the largest one ever pooled; the rare slot past the
+// length (a shard merge's truncated tail) holds a key only until the
+// next query overwrites it.
+func (s *pageScratch) release() {
+	clear(s.rows)
+	clear(s.nbrs)
+	s.rows = s.rows[:0]
+	s.nbrs = s.nbrs[:0]
+	pagePool.Put(s)
+}
+
 // Within returns the keyed objects wholly contained in q, ordered by
 // key, resuming strictly after cur and returning at most limit rows
 // (limit <= 0 means unlimited). A non-empty Cursor in the returned page
@@ -41,6 +71,12 @@ func (c *Collection) Intersects(q geom.Rect, cur string, limit int) (Page, rtree
 	return c.rangeQuery(q, cur, limit, false)
 }
 
+// rangeQuery selects a page in O(hits · log limit): every page re-runs
+// the query live — that, not a saved iterator, is what makes cursors
+// survive churn (see cursor.go) — and keeps only the limit+1 smallest
+// keys strictly after the cursor in a bounded max-heap. The first limit
+// of them, sorted, are the page; row limit+1 exists exactly when more
+// rows remain. A non-positive limit is a heap that never fills.
 func (c *Collection) rangeQuery(q geom.Rect, cur string, limit int, contained bool) (Page, rtree.QueryStats, error) {
 	pos, err := parseCursor(cur)
 	if err != nil {
@@ -49,9 +85,12 @@ func (c *Collection) rangeQuery(q geom.Rect, cur string, limit int, contained bo
 	if pos.nearby {
 		return Page{}, rtree.QueryStats{}, fmt.Errorf("collection: nearby cursor %q fed to a range query", cur)
 	}
-	// Every page re-runs the query live and sorts by key — that, not a
-	// saved iterator, is what makes cursors survive churn (see cursor.go).
-	var items []item
+	keep := math.MaxInt
+	if limit > 0 && limit < math.MaxInt {
+		keep = limit + 1
+	}
+	s := pagePool.Get().(*pageScratch)
+	defer s.release()
 	stats := c.ix.SearchEach(q, func(r geom.Rect, d any) {
 		key, ok := d.(string)
 		if !ok {
@@ -60,10 +99,18 @@ func (c *Collection) rangeQuery(q geom.Rect, cur string, limit int, contained bo
 		if contained && !q.Contains(r) {
 			return
 		}
-		items = append(items, item{key: key, rect: r})
+		if !pos.afterRange(key) {
+			return
+		}
+		if len(s.rows) < keep {
+			s.rows.push(item{key: key, rect: r})
+		} else if key < s.rows[0].key {
+			s.rows[0] = item{key: key, rect: r}
+			s.rows.fixRoot()
+		}
 	})
-	sort.Slice(items, func(i, j int) bool { return items[i].key < items[j].key })
-	return paginate(items, pos, limit, false), stats, nil
+	slices.SortFunc(s.rows, func(a, b item) int { return strings.Compare(a.key, b.key) })
+	return paginate(s.rows, cursor{}, limit, false), stats, nil
 }
 
 // Nearby returns the k keyed objects nearest to p in ascending
@@ -88,43 +135,40 @@ func (c *Collection) Nearby(p geom.Point, k int, cur string, limit int) (Page, r
 	if k <= 0 {
 		return Page{}, stats, nil
 	}
-	var nbrs []rtree.Neighbor
+	s := pagePool.Get().(*pageScratch)
+	defer s.release()
 	kk := k
 	for {
-		var st rtree.QueryStats
-		nbrs, st = c.ix.KNNAppend(p, kk, nbrs[:0])
-		stats = st
+		s.nbrs, stats = c.ix.KNNAppend(p, kk, s.nbrs[:0])
 		// Widen while the fetch is full and the boundary might still be
 		// tied: the (kk)-th result at the same distance as the k-th means
 		// objects tied at the k-th distance may have been cut off.
-		if len(nbrs) < kk || nbrs[len(nbrs)-1].DistSq > nbrs[k-1].DistSq {
+		if len(s.nbrs) < kk || s.nbrs[len(s.nbrs)-1].DistSq > s.nbrs[k-1].DistSq {
 			break
 		}
 		kk *= 2
 	}
-	items := make([]item, 0, len(nbrs))
-	for _, nb := range nbrs {
+	for _, nb := range s.nbrs {
 		key, ok := nb.Data.(string)
 		if !ok {
 			continue // not a keyed object; unreachable through the server
 		}
-		items = append(items, item{key: key, rect: nb.Rect, dist: nb.DistSq})
+		s.rows = append(s.rows, item{key: key, rect: nb.Rect, dist: nb.DistSq})
 	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].dist != items[j].dist {
-			return items[i].dist < items[j].dist
-		}
-		return items[i].key < items[j].key
+	slices.SortFunc(s.rows, func(a, b item) int {
+		return cmp.Or(cmp.Compare(a.dist, b.dist), strings.Compare(a.key, b.key))
 	})
-	if len(items) > k {
-		items = items[:k]
+	rows := s.rows
+	if len(rows) > k {
+		rows = rows[:k]
 	}
-	return paginate(items, pos, limit, true), stats, nil
+	return paginate(rows, pos, limit, true), stats, nil
 }
 
 // paginate drops the rows at or before pos, applies limit, and stamps
 // the resume cursor when rows remain. items must already be sorted in
-// the query's total order.
+// the query's total order. The page copies what it keeps, so items may
+// be pooled scratch.
 func paginate(items []item, pos cursor, limit int, nearby bool) Page {
 	if pos.started {
 		// Binary search for the first row strictly after the cursor.
@@ -164,4 +208,42 @@ func paginate(items []item, pos cursor, limit int, nearby bool) Page {
 		}
 	}
 	return p
+}
+
+// keyHeap is a max-heap of rows by key (root = the largest key kept),
+// operated with the same hand-written sift loops as the index's KNN
+// result heap (rtree/scratch.go), so nothing is boxed into an `any`.
+type keyHeap []item
+
+// push appends it and sifts it up.
+func (h *keyHeap) push(it item) {
+	*h = append(*h, it)
+	s := *h
+	j := len(s) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if s[j].key <= s[i].key {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+// fixRoot sifts a replaced root down to its place.
+func (h keyHeap) fixRoot() {
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h[r].key > h[j].key {
+			j = r
+		}
+		if h[i].key >= h[j].key {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 
@@ -153,42 +155,12 @@ func (s *Server) handleDel(w http.ResponseWriter, r *http.Request) {
 	writeJSONBuf(w, http.StatusOK, delResponse{Deleted: ok, Size: s.coll.Len()}, &ks.out)
 }
 
-// pagedResponse is the wire form of one collection query page.
-type pagedResponse struct {
-	Keys  []string     `json:"keys"`
-	Rects [][4]float64 `json:"rects"`
-	// Dists carries squared distances, /knn paged mode only.
-	Dists []float64 `json:"dists,omitempty"`
-	// Cursor resumes the query when non-empty; empty means exhausted.
-	Cursor        string `json:"cursor,omitempty"`
-	Count         int    `json:"count"`
-	NodesAccessed int    `json:"nodes_accessed"`
-}
-
-func toPagedResponse(p collection.Page, nodes int) pagedResponse {
-	resp := pagedResponse{
-		Keys:          p.Keys,
-		Rects:         make([][4]float64, len(p.Rects)),
-		Dists:         p.Dists,
-		Cursor:        p.Cursor,
-		Count:         len(p.Keys),
-		NodesAccessed: nodes,
-	}
-	if resp.Keys == nil {
-		resp.Keys = []string{}
-	}
-	for i, r := range p.Rects {
-		resp.Rects[i] = [4]float64{r.MinX, r.MinY, r.MaxX, r.MaxY}
-	}
-	return resp
-}
-
-// pageParams extracts the cursor/limit pair. wantPaged reports whether
-// either parameter was present — the signal that /search and /knn
-// should answer in paged keyed mode. The effective limit is clamped to
-// MaxResults; absent or non-positive means "server maximum".
-func (s *Server) pageParams(r *http.Request) (cur string, limit int, wantPaged bool, err error) {
-	q := r.URL.Query()
+// pageParams extracts the cursor/limit pair from the request's parsed
+// query string. wantPaged reports whether either parameter was present —
+// the signal that /search and /knn should answer in paged keyed mode.
+// The effective limit is clamped to MaxResults; absent or non-positive
+// means "server maximum".
+func (s *Server) pageParams(q url.Values) (cur string, limit int, wantPaged bool, err error) {
 	cur = q.Get("cursor")
 	_, hasLimit := q["limit"]
 	if ls := q.Get("limit"); ls != "" {
@@ -204,12 +176,13 @@ func (s *Server) pageParams(r *http.Request) (cur string, limit int, wantPaged b
 }
 
 func (s *Server) handleWithin(w http.ResponseWriter, r *http.Request) {
-	q, err := cliutil.ParseRect(r.URL.Query().Get("rect"))
+	params := r.URL.Query()
+	q, err := cliutil.ParseRect(params.Get("rect"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad rect: %w", err))
 		return
 	}
-	cur, limit, _, err := s.pageParams(r)
+	cur, limit, _, err := s.pageParams(params)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -220,7 +193,7 @@ func (s *Server) handleWithin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.endpoint("within").addNodeAccesses(stats.NodesAccessed)
-	writeJSON(w, http.StatusOK, toPagedResponse(page, stats.NodesAccessed))
+	writePage(w, page, stats.NodesAccessed)
 }
 
 // handleSearchPaged is /search's keyed paged mode (Intersects order-by-key).
@@ -231,7 +204,7 @@ func (s *Server) handleSearchPaged(w http.ResponseWriter, q geom.Rect, cur strin
 		return
 	}
 	s.metrics.endpoint("search").addNodeAccesses(stats.NodesAccessed)
-	writeJSON(w, http.StatusOK, toPagedResponse(page, stats.NodesAccessed))
+	writePage(w, page, stats.NodesAccessed)
 }
 
 // handleKNNPaged is /knn's keyed paged mode (Nearby, deterministic at
@@ -243,5 +216,118 @@ func (s *Server) handleKNNPaged(w http.ResponseWriter, p geom.Point, k int, cur 
 		return
 	}
 	s.metrics.endpoint("knn").addNodeAccesses(stats.NodesAccessed)
-	writeJSON(w, http.StatusOK, toPagedResponse(page, stats.NodesAccessed))
+	writePage(w, page, stats.NodesAccessed)
+}
+
+// pageBufPool recycles the paged responses' encode buffers.
+var pageBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writePage answers with p's wire form, framed by Content-Length.
+func writePage(w http.ResponseWriter, p collection.Page, nodes int) {
+	bp := pageBufPool.Get().(*[]byte)
+	defer pageBufPool.Put(bp)
+	b, err := appendPage((*bp)[:0], p, nodes)
+	*bp = b
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeJSONBytes(w, http.StatusOK, b)
+}
+
+// appendPage appends the wire form of one collection query page to b:
+//
+//	{"keys":[…],"rects":[[minx,miny,maxx,maxy],…],"dists":[…],"cursor":"…","count":N,"nodes_accessed":N}
+//
+// with dists present only when non-empty (paged /knn) and cursor only
+// when more rows remain. The bytes, trailing newline included, are
+// exactly what json.NewEncoder(w).Encode writes for that object (the
+// differential test pins this), without reflection and without garbage
+// that grows with the page. The only failure is a non-finite number,
+// which JSON cannot carry.
+func appendPage(b []byte, p collection.Page, nodes int) ([]byte, error) {
+	var err error
+	b = append(b, `{"keys":[`...)
+	for i, k := range p.Keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, k)
+	}
+	b = append(b, `],"rects":[`...)
+	for i, r := range p.Rects {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		for j, f := range [4]float64{r.MinX, r.MinY, r.MaxX, r.MaxY} {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			if b, err = appendJSONFloat(b, f); err != nil {
+				return b, err
+			}
+		}
+		b = append(b, ']')
+	}
+	b = append(b, ']')
+	if len(p.Dists) > 0 {
+		b = append(b, `,"dists":[`...)
+		for i, f := range p.Dists {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if b, err = appendJSONFloat(b, f); err != nil {
+				return b, err
+			}
+		}
+		b = append(b, ']')
+	}
+	if p.Cursor != "" {
+		b = append(b, `,"cursor":`...)
+		b = appendJSONString(b, p.Cursor)
+	}
+	b = append(b, `,"count":`...)
+	b = strconv.AppendInt(b, int64(len(p.Keys)), 10)
+	b = append(b, `,"nodes_accessed":`...)
+	b = strconv.AppendInt(b, int64(nodes), 10)
+	return append(b, "}\n"...), nil
+}
+
+// appendJSONString appends s as a JSON string. Printable ASCII other
+// than the characters encoding/json escapes (quote, backslash and the
+// HTML-significant <, > and &) is copied verbatim; any other key takes
+// json.Marshal, so control bytes, invalid UTF-8 and U+2028/U+2029 get
+// exactly its escapes.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendJSONFloat appends f the way encoding/json writes a float64: the
+// shortest round-tripping decimal, in exponent form only below 1e-6 or
+// from 1e21 up, with a two-digit negative exponent trimmed (e-07 → e-7).
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
 }

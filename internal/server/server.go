@@ -573,12 +573,13 @@ func idString(d any) string {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	q, err := cliutil.ParseRect(r.URL.Query().Get("rect"))
+	params := r.URL.Query()
+	q, err := cliutil.ParseRect(params.Get("rect"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad rect: %w", err))
 		return
 	}
-	if cur, limit, paged, err := s.pageParams(r); err != nil {
+	if cur, limit, paged, err := s.pageParams(params); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	} else if paged {
@@ -617,14 +618,15 @@ type knnResponse struct {
 }
 
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	p, err := cliutil.ParsePoint(r.URL.Query().Get("point"))
+	params := r.URL.Query()
+	p, err := cliutil.ParsePoint(params.Get("point"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad point: %w", err))
 		return
 	}
 	k := 10
-	if ks := r.URL.Query().Get("k"); ks != "" {
-		if _, err := fmt.Sscanf(ks, "%d", &k); err != nil || k <= 0 {
+	if ks := params.Get("k"); ks != "" {
+		if k, err = strconv.Atoi(ks); err != nil || k <= 0 {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("bad k %q", ks))
 			return
 		}
@@ -632,7 +634,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	if k > s.cfg.MaxResults {
 		k = s.cfg.MaxResults
 	}
-	if cur, limit, paged, err := s.pageParams(r); err != nil {
+	if cur, limit, paged, err := s.pageParams(params); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	} else if paged {
@@ -811,10 +813,16 @@ func writeJSONBuf(w http.ResponseWriter, code int, v any, buf *bytes.Buffer) {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
+	writeJSONBytes(w, code, buf.Bytes())
+}
+
+// writeJSONBytes answers with an encoded JSON body, framed by
+// Content-Length.
+func writeJSONBytes(w http.ResponseWriter, code int, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(code)
-	w.Write(buf.Bytes())
+	w.Write(b)
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {
