@@ -170,9 +170,10 @@ func policyMain(args []string) {
 
 // walMain is the `rlr-inspect wal` subcommand: a read-only dump/verify
 // pass over a WAL directory. Every frame's CRC is checked; the summary
-// reports exactly the records a recovery would replay, so the
-// insert_items line doubles as a crash-recovery oracle (the CI smoke
-// test compares it against the restarted server's object count).
+// reports exactly the records a recovery would replay, and live_keys
+// replays their SETs and DELs into a key set by the rule recovery uses,
+// so it doubles as a crash-recovery oracle (the CI smoke test compares
+// it against a restarted server's object count).
 func walMain(args []string) {
 	fs := flag.NewFlagSet("rlr-inspect wal", flag.ExitOnError)
 	var (
@@ -186,9 +187,9 @@ func walMain(args []string) {
 	}
 
 	var (
-		total, insertItems, deleteItems int
-		setItems, delKeyItems           int
-		firstLSN, lastLSN               uint64
+		total, setItems, delKeyItems int
+		firstLSN, lastLSN            uint64
+		live                         = map[string]struct{}{}
 	)
 	dump := func(rec wal.Record) error {
 		total++
@@ -197,17 +198,15 @@ func walMain(args []string) {
 		}
 		lastLSN = rec.LSN
 		switch rec.Type {
-		case wal.RecDelete:
-			deleteItems++
 		case wal.RecSet:
 			setItems++
+			live[rec.Key] = struct{}{}
 		case wal.RecDelKey:
 			delKeyItems++
-		default:
-			insertItems += len(rec.IDs)
+			delete(live, rec.Key)
 		}
 		if *records {
-			fmt.Printf("  lsn %-8d %-7s epoch %-3d items %d\n", rec.LSN, recTypeName(rec.Type), rec.Epoch, len(rec.IDs))
+			fmt.Printf("  lsn %-8d %-7s epoch %-3d key %q\n", rec.LSN, rec.Type, rec.Epoch, rec.Key)
 		}
 		return nil
 	}
@@ -222,9 +221,8 @@ func walMain(args []string) {
 
 	damaged := false
 	for _, info := range infos {
-		fmt.Printf("segment %s  lsn %d..%d  records %d (%d ins, %d del, %d batch)  items %d  %d bytes\n",
-			info.Path, info.FirstLSN, info.LastLSN, info.Records,
-			info.Inserts, info.Deletes, info.Batches, info.Items, info.SizeBytes)
+		fmt.Printf("segment %s  lsn %d..%d  records %d (%d set, %d del)  %d bytes\n",
+			info.Path, info.FirstLSN, info.LastLSN, info.Records, info.Sets, info.DelKeys, info.SizeBytes)
 		if info.Torn != "" {
 			damaged = true
 			fmt.Printf("  TORN: %s — recovery keeps %d of %d bytes\n", info.Torn, info.ValidLen, info.SizeBytes)
@@ -237,29 +235,11 @@ func walMain(args []string) {
 	fmt.Printf("segments:     %d\n", len(infos))
 	fmt.Printf("lsn:          %d..%d\n", firstLSN, lastLSN)
 	fmt.Printf("records:      %d\n", total)
-	fmt.Printf("insert_items: %d\n", insertItems)
-	fmt.Printf("delete_items: %d\n", deleteItems)
 	fmt.Printf("set_items:    %d\n", setItems)
 	fmt.Printf("delkey_items: %d\n", delKeyItems)
+	fmt.Printf("live_keys:    %d\n", len(live))
 	if damaged && *strict {
 		os.Exit(1)
-	}
-}
-
-func recTypeName(rt wal.RecordType) string {
-	switch rt {
-	case wal.RecInsert:
-		return "insert"
-	case wal.RecDelete:
-		return "delete"
-	case wal.RecInsertBatch:
-		return "batch"
-	case wal.RecSet:
-		return "set"
-	case wal.RecDelKey:
-		return "del-key"
-	default:
-		return fmt.Sprintf("type(%d)", rt)
 	}
 }
 

@@ -7,13 +7,14 @@
 //	rlr-loadgen -addr http://localhost:8080 -n 50000 -queries 5000 -qps 2000
 //	rlr-loadgen -addr http://localhost:8080 -load=false -queries 10000 -knn-frac 0.2
 //
-// Phase 1 (unless -load=false) bulk loads -n objects of the chosen
-// dataset kind through POST /insert in -batch-sized batches from -ic
-// concurrent inserters (-ic > 1 exercises the server's write-side
-// concurrency — the case a -shards rlr-serve exists for). Phase 2
-// issues -queries window queries (area fraction -size) and KNN queries
-// (fraction -knn-frac, k = -k) from -c concurrent workers, paced at
-// -qps requests/second (0 = closed loop, as fast as the server allows).
+// Phase 1 (unless -load=false) places -n objects of the chosen dataset
+// kind as keys obj-0000000, obj-0000001, ... through POST /set, over -c
+// pipelined connections of -pipeline requests per write (more than one
+// connection exercises the server's write-side concurrency — the case a
+// -shards rlr-serve exists for). Phase 2 issues -queries window queries
+// (area fraction -size) and KNN queries (fraction -knn-frac, k = -k)
+// from -c concurrent workers, paced at -qps requests/second (0 = closed
+// loop, as fast as the server allows).
 //
 // -scenario moving switches to the live-update churn workload the keyed
 // API exists for: SET -n objects by key, then have -c workers move them
@@ -27,7 +28,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -50,20 +50,18 @@ func main() {
 		addr        = flag.String("addr", "http://localhost:8080", "base URL of rlr-serve")
 		kind        = flag.String("kind", "UNI", "dataset kind: UNI, GAU, SKE, CHI, IND")
 		n           = flag.Int("n", 50_000, "objects to load in phase 1")
-		batch       = flag.Int("batch", 1000, "insert batch size")
-		insWorkers  = flag.Int("ic", 1, "concurrent insert workers in the load phase")
 		load        = flag.Bool("load", true, "run the load phase")
 		queries     = flag.Int("queries", 5000, "total queries in phase 2")
 		size        = flag.Float64("size", 0.0001, "window query area as a fraction of the unit square")
 		knnFrac     = flag.Float64("knn-frac", 0, "fraction of queries that are KNN")
 		k           = flag.Int("k", 10, "K for KNN queries")
 		qps         = flag.Float64("qps", 0, "target queries/second (0 = closed loop)")
-		workers     = flag.Int("c", 8, "concurrent query workers")
+		workers     = flag.Int("c", 8, "concurrent connections: query workers, and placement connections")
 		seed        = flag.Int64("seed", 1, "random seed")
 		scenario    = flag.String("scenario", "", `workload scenario: "" (load+query) or "moving" (keyed update churn)`)
 		rate        = flag.Float64("rate", 0, "moving scenario: target updates/second across all workers (0 = closed loop)")
 		duration    = flag.Duration("duration", 10*time.Second, "moving scenario: churn phase length")
-		pipeline    = flag.Int("pipeline", 8, "moving scenario: pipelined requests per connection write")
+		pipeline    = flag.Int("pipeline", 8, "pipelined SETs per connection write when placing and moving objects")
 		showVersion = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -91,7 +89,7 @@ func main() {
 	}
 
 	if *load {
-		if err := loadPhase(client, *addr, *kind, *n, *batch, *insWorkers, *seed); err != nil {
+		if err := loadPhase(*addr, *kind, *n, *workers, *pipeline, *seed); err != nil {
 			fatal(err)
 		}
 	}
@@ -102,86 +100,24 @@ func main() {
 	}
 }
 
-type wireItem struct {
-	ID   string    `json:"id"`
-	Rect []float64 `json:"rect"`
-}
-
-func loadPhase(client *http.Client, addr, kind string, n, batch, workers int, seed int64) error {
+// loadPhase places n dataset objects as keys obj-0000000, ... through
+// pipelined POST /set.
+func loadPhase(addr, kind string, n, conns, depth int, seed int64) error {
 	data, err := dataset.Generate(dataset.Kind(kind), n, seed)
 	if err != nil {
 		return err
 	}
-	if workers < 1 {
-		workers = 1
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("obj-%07d", i)
 	}
-	postBatch := func(lo int) error {
-		hi := min(lo+batch, len(data))
-		items := make([]wireItem, hi-lo)
-		for i, r := range data[lo:hi] {
-			items[i] = wireItem{
-				ID:   fmt.Sprintf("obj-%07d", lo+i),
-				Rect: []float64{r.MinX, r.MinY, r.MaxX, r.MaxY},
-			}
-		}
-		body, err := json.Marshal(map[string]any{"items": items})
-		if err != nil {
-			return err
-		}
-		resp, err := client.Post(addr+"/insert", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("insert batch [%d:%d]: HTTP %d", lo, hi, resp.StatusCode)
-		}
-		return nil
-	}
-
 	start := time.Now()
-	if workers == 1 {
-		for lo := 0; lo < len(data); lo += batch {
-			if err := postBatch(lo); err != nil {
-				return err
-			}
-		}
-	} else {
-		// Concurrent inserters: batches fan out over a worker pool, so the
-		// server sees `workers` simultaneous write streams. The first error
-		// is reported after all in-flight batches drain.
-		work := make(chan int, workers)
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstErr error
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for lo := range work {
-					if err := postBatch(lo); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-					}
-				}
-			}()
-		}
-		for lo := 0; lo < len(data); lo += batch {
-			work <- lo
-		}
-		close(work)
-		wg.Wait()
-		if firstErr != nil {
-			return firstErr
-		}
+	if err := place(addr, keys, data, conns, depth); err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("load:   %d objects (%s) in %s — %.0f inserts/s (batch %d, %d workers)\n",
-		n, kind, elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds(), batch, workers)
+	fmt.Printf("load:   %d objects (%s) in %s — %.0f sets/s (%d conns × pipeline %d)\n",
+		n, kind, elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds(), conns, depth)
 	return nil
 }
 

@@ -98,7 +98,7 @@ func (p *pipeConn) close() { p.c.Close() }
 func (p *pipeConn) addSet(key string, r geom.Rect) {
 	b := p.body[:0]
 	b = append(b, `{"key":"`...)
-	b = append(b, key...) // keys here are mv-%06d: no JSON escaping needed
+	b = append(b, key...) // loadgen keys are letters, digits and '-': no JSON escaping needed
 	b = append(b, `","rect":[`...)
 	b = strconv.AppendFloat(b, r.MinX, 'g', -1, 64)
 	b = append(b, ',')
@@ -189,6 +189,61 @@ func (p *pipeConn) readResponse() (status int, err error) {
 	return status, nil
 }
 
+// place SETs keys[i] at positions[i] over conns pipelined connections,
+// depth requests per write; connection c owns keys c, c+conns, .... It
+// returns the first transport error or rejected SET.
+func place(addr string, keys []string, positions []geom.Rect, conns, depth int) error {
+	conns = max(1, min(conns, len(keys)))
+	depth = max(1, depth)
+	var wg sync.WaitGroup
+	errs := make(chan error, conns)
+	for c := 0; c < conns; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			pc, err := dialPipe(addr)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer pc.close()
+			pending := 0
+			flush := func() error {
+				ok, err := pc.flush(pending)
+				if err != nil {
+					return err
+				}
+				if ok != pending {
+					return fmt.Errorf("placement: %d of %d SETs rejected", pending-ok, pending)
+				}
+				pending = 0
+				return nil
+			}
+			for i := c; i < len(keys); i += conns {
+				pc.addSet(keys[i], positions[i])
+				if pending++; pending == depth {
+					if err := flush(); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+			if pending > 0 {
+				if err := flush(); err != nil {
+					errs <- err
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	select {
+	case err := <-errs:
+		return err
+	default:
+		return nil
+	}
+}
+
 func movingScenario(client *http.Client, addr, kind string, n, workers, depth int, rate float64, duration time.Duration, seed int64) error {
 	if workers < 1 {
 		workers = 1
@@ -215,51 +270,8 @@ func movingScenario(client *http.Client, addr, kind string, n, workers, depth in
 	// churn phase measures (there is deliberately no batch endpoint — the
 	// scenario exists to exercise per-update cost).
 	placeStart := time.Now()
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pc, err := dialPipe(addr)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer pc.close()
-			pending := 0
-			for i := w; i < n; i += workers {
-				pc.addSet(keys[i], positions[i])
-				if pending++; pending == depth {
-					ok, err := pc.flush(pending)
-					if err != nil {
-						errs <- err
-						return
-					}
-					if ok != pending {
-						errs <- fmt.Errorf("placement: %d of %d SETs rejected", pending-ok, pending)
-						return
-					}
-					pending = 0
-				}
-			}
-			if pending > 0 {
-				ok, err := pc.flush(pending)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if ok != pending {
-					errs <- fmt.Errorf("placement: %d of %d SETs rejected", pending-ok, pending)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
+	if err := place(addr, keys, positions, workers, depth); err != nil {
 		return err
-	default:
 	}
 	fmt.Printf("moving: placed %d keyed objects (%s) in %s\n",
 		n, kind, time.Since(placeStart).Round(time.Millisecond))
@@ -280,6 +292,8 @@ func movingScenario(client *http.Client, addr, kind string, n, workers, depth in
 	// batch round-trip: the time from the pipelined write until each
 	// response in the batch is parsed.
 	var (
+		wg       sync.WaitGroup
+		errs     = make(chan error, workers)
 		latMu    sync.Mutex
 		allLats  []time.Duration
 		updates  int64

@@ -149,10 +149,7 @@ func main() {
 	// The WAL opens after the snapshot restore (its recovery needs the
 	// snapshot's LSN) and before the server exists: replay must finish
 	// before the first request is admitted.
-	var (
-		theWAL     *wal.WAL
-		autoIDSeed uint64
-	)
+	var theWAL *wal.WAL
 	if *walDir != "" {
 		policy, err := wal.ParseSyncPolicy(*walFsync)
 		if err != nil {
@@ -167,13 +164,12 @@ func main() {
 		if err != nil {
 			logger.Fatal(err)
 		}
-		res, err := server.Recover(theWAL, snapLSN, index, coll, logger.Printf)
+		stats, err := server.Recover(theWAL, snapLSN, coll, logger.Printf)
 		if err != nil {
 			logger.Fatal(fmt.Errorf("wal recovery: %w", err))
 		}
-		autoIDSeed = res.MaxAutoID
-		logger.Printf("wal: replayed %d records (%d objects inserted or deleted, %d below snapshot LSN %d) from %s in %s; index holds %d objects",
-			res.Stats.Records, res.Stats.Items, res.Stats.Skipped, snapLSN, *walDir, res.Stats.Duration.Round(time.Microsecond), index.Len())
+		logger.Printf("wal: replayed %d records (%d applied, %d below snapshot LSN %d) from %s in %s; index holds %d objects",
+			stats.Records, stats.Applied, stats.Skipped, snapLSN, *walDir, stats.Duration.Round(time.Microsecond), index.Len())
 	}
 
 	srv, err := server.New(server.Config{
@@ -185,7 +181,6 @@ func main() {
 		MaxBodyBytes:   *maxBody,
 		MaxResults:     *maxResults,
 		WAL:            theWAL,
-		AutoIDSeed:     autoIDSeed,
 		Collection:     coll,
 		Policy:         hot,
 		Logf:           logger.Printf,

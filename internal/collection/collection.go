@@ -86,10 +86,9 @@ type Stats struct {
 
 // Collection is the keyed object layer over a spatial index. All methods
 // are safe for concurrent use. The collection owns keyed consistency
-// only for objects that flow through it: mutating the underlying index
-// directly (the server's legacy insert-by-rect path) stores objects the
-// key map does not know, which keyed queries still return but Get/Del
-// cannot address and Validate will reject.
+// only for objects that flow through it: an object inserted into the
+// underlying index directly is one the key map does not know, and
+// Validate rejects it.
 type Collection struct {
 	ix Spatial
 
@@ -145,10 +144,6 @@ func Restore(ix Spatial, pairs []KeyRect) *Collection {
 	c.objects.Store(int64(len(pairs)))
 	return c
 }
-
-// Index returns the spatial half, for callers that need the index-level
-// API (the server's legacy endpoints, stats breakdowns).
-func (c *Collection) Index() Spatial { return c.ix }
 
 // hashKey maps a key string onto the btree's uint64 key space. FNV-1a
 // keeps the mapping deterministic across processes (nothing persisted

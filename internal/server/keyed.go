@@ -14,13 +14,12 @@ import (
 	"github.com/rlr-tree/rlrtree/internal/cliutil"
 	"github.com/rlr-tree/rlrtree/internal/collection"
 	"github.com/rlr-tree/rlrtree/internal/geom"
+	"github.com/rlr-tree/rlrtree/internal/rtree"
 )
 
 // Keyed endpoints: the HTTP face of internal/collection. SET/GET/DEL
-// address objects by string key; the paged query mode (triggered on
-// /search and /knn by a cursor or limit parameter, always on for
-// /within) returns keys, rects and a resume cursor instead of the
-// legacy flat ID list.
+// address objects by string key; /search, /within and /knn answer one
+// page of keys and rects with a resume cursor.
 
 // Collection returns the keyed layer the server serves — the handle
 // tests and embedding callers use to inspect or validate it.
@@ -49,8 +48,7 @@ type setRequest struct {
 // path. SET is the hottest endpoint in the system — a moving-objects
 // workload is nothing but tiny POST /set bodies — so the body read
 // buffer, the decoded request (whose Rect backing array json.Unmarshal
-// reuses), and the response encode buffer are pooled, mirroring the
-// query handlers' respScratch.
+// reuses), and the response encode buffer are pooled.
 type keyedScratch struct {
 	in  bytes.Buffer
 	out bytes.Buffer
@@ -100,9 +98,9 @@ func (s *Server) handleSet(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	if !res.Replaced {
-		s.countPolicyInserts(1) // a fresh key inserts into the tree
-	}
+	// A fresh key inserts into the tree and a move reinserts it, both
+	// through the active chooser.
+	s.countPolicyInserts(1)
 	resp := setResponse{Replaced: res.Replaced, Size: s.coll.Len()}
 	if res.Replaced {
 		resp.Prev = &[4]float64{res.Prev.MinX, res.Prev.MinY, res.Prev.MaxX, res.Prev.MaxY}
@@ -156,60 +154,81 @@ func (s *Server) handleDel(w http.ResponseWriter, r *http.Request) {
 }
 
 // pageParams extracts the cursor/limit pair from the request's parsed
-// query string. wantPaged reports whether either parameter was present —
-// the signal that /search and /knn should answer in paged keyed mode.
-// The effective limit is clamped to MaxResults; absent or non-positive
-// means "server maximum".
-func (s *Server) pageParams(q url.Values) (cur string, limit int, wantPaged bool, err error) {
+// query string. The effective limit is clamped to MaxResults; absent or
+// non-positive means "server maximum".
+func (s *Server) pageParams(q url.Values) (cur string, limit int, err error) {
 	cur = q.Get("cursor")
-	_, hasLimit := q["limit"]
 	if ls := q.Get("limit"); ls != "" {
 		limit, err = strconv.Atoi(ls)
 		if err != nil {
-			return "", 0, false, fmt.Errorf("bad limit %q", ls)
+			return "", 0, fmt.Errorf("bad limit %q", ls)
 		}
 	}
 	if limit <= 0 || limit > s.cfg.MaxResults {
 		limit = s.cfg.MaxResults
 	}
-	return cur, limit, cur != "" || hasLimit, nil
+	return cur, limit, nil
 }
 
+// handleSearch pages the keys whose rects intersect the window, in key
+// order.
+func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	s.handleRectPage(w, r, "search", s.coll.Intersects)
+}
+
+// handleWithin pages the keys whose rects the window contains, in key
+// order.
 func (s *Server) handleWithin(w http.ResponseWriter, r *http.Request) {
+	s.handleRectPage(w, r, "within", s.coll.Within)
+}
+
+// handleRectPage answers one page of a window query.
+func (s *Server) handleRectPage(w http.ResponseWriter, r *http.Request, endpoint string,
+	query func(q geom.Rect, cursor string, limit int) (collection.Page, rtree.QueryStats, error)) {
 	params := r.URL.Query()
 	q, err := cliutil.ParseRect(params.Get("rect"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad rect: %w", err))
 		return
 	}
-	cur, limit, _, err := s.pageParams(params)
+	cur, limit, err := s.pageParams(params)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	page, stats, err := s.coll.Within(q, cur, limit)
+	page, stats, err := query(q, cur, limit)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.metrics.endpoint("within").addNodeAccesses(stats.NodesAccessed)
+	s.metrics.endpoint(endpoint).addNodeAccesses(stats.NodesAccessed)
 	writePage(w, page, stats.NodesAccessed)
 }
 
-// handleSearchPaged is /search's keyed paged mode (Intersects order-by-key).
-func (s *Server) handleSearchPaged(w http.ResponseWriter, q geom.Rect, cur string, limit int) {
-	page, stats, err := s.coll.Intersects(q, cur, limit)
+// handleKNN pages the k nearest keys by distance, deterministic at
+// distance ties.
+func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
+	params := r.URL.Query()
+	p, err := cliutil.ParsePoint(params.Get("point"))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("bad point: %w", err))
+		return
+	}
+	k := 10
+	if ks := params.Get("k"); ks != "" {
+		if k, err = strconv.Atoi(ks); err != nil || k <= 0 {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("bad k %q", ks))
+			return
+		}
+	}
+	if k > s.cfg.MaxResults {
+		k = s.cfg.MaxResults
+	}
+	cur, limit, err := s.pageParams(params)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.metrics.endpoint("search").addNodeAccesses(stats.NodesAccessed)
-	writePage(w, page, stats.NodesAccessed)
-}
-
-// handleKNNPaged is /knn's keyed paged mode (Nearby, deterministic at
-// distance ties).
-func (s *Server) handleKNNPaged(w http.ResponseWriter, p geom.Point, k int, cur string, limit int) {
 	page, stats, err := s.coll.Nearby(p, k, cur, limit)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)

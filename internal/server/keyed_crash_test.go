@@ -179,7 +179,7 @@ func TestKeyedCrashRecoveryWithSnapshot(t *testing.T) {
 		t.Fatal("snapshot carries no key map")
 	}
 	coll2 := collection.Restore(idx2, pairs)
-	if _, err := Recover(w2, lsn, idx2, coll2, t.Logf); err != nil {
+	if _, err := Recover(w2, lsn, coll2, t.Logf); err != nil {
 		t.Fatal(err)
 	}
 	diffStates(t, collState(coll2), applyOps(ops, len(ops)))
@@ -241,11 +241,11 @@ func TestKeyedCrashRecoveryTornTail(t *testing.T) {
 	tree2, _ := rtree.NewChecked(rtree.Options{MaxEntries: 16, MinEntries: 6})
 	idx2 := rtree.NewConcurrent(tree2)
 	coll2 := collection.New(idx2)
-	res, err := Recover(w2, 0, idx2, coll2, t.Logf)
+	stats, err := Recover(w2, 0, coll2, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := res.Stats.Records
+	n := stats.Records
 	if n >= len(ops) {
 		t.Fatalf("replayed %d records from a torn log of %d ops", n, len(ops))
 	}

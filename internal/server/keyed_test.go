@@ -21,6 +21,8 @@ type pagedWire struct {
 	Dists  []float64    `json:"dists"`
 	Cursor string       `json:"cursor"`
 	Count  int          `json:"count"`
+	// NodesAccessed is the R-Tree node accesses the query cost.
+	NodesAccessed int `json:"nodes_accessed"`
 }
 
 // TestKeyedEndpoints drives the whole keyed HTTP surface: SET (insert
@@ -160,8 +162,8 @@ func TestKeyedEndpoints(t *testing.T) {
 }
 
 // TestKeyedSnapshotRestore proves the key map survives the full
-// save/load cycle: a server with keyed and legacy objects snapshots,
-// and a second server restored from the file answers keyed GETs.
+// save/load cycle: a server snapshots, and a second server restored
+// from the file answers keyed GETs.
 func TestKeyedSnapshotRestore(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "keyed.snap")
 	s, ts := newTestServer(t, snap)
@@ -172,8 +174,6 @@ func TestKeyedSnapshotRestore(t *testing.T) {
 			"rect": []float64{x, 0, x + 1, 1},
 		}, nil)
 	}
-	// A legacy unkeyed insert shares the index but not the key map.
-	postJSON(t, ts.URL+"/insert", map[string]any{"id": "legacy-1", "rect": []float64{500, 500, 501, 501}}, nil)
 	if err := s.SaveSnapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +187,8 @@ func TestKeyedSnapshotRestore(t *testing.T) {
 	if lsn != 0 || len(pairs) != 50 {
 		t.Fatalf("restored lsn=%d pairs=%d, want 0/50", lsn, len(pairs))
 	}
-	if idx.Len() != 51 {
-		t.Fatalf("restored index holds %d objects, want 51", idx.Len())
+	if idx.Len() != 50 {
+		t.Fatalf("restored index holds %d objects, want 50", idx.Len())
 	}
 	coll := collection.Restore(idx, pairs)
 	s2, err := New(Config{Index: idx, Collection: coll})
@@ -204,9 +204,8 @@ func TestKeyedSnapshotRestore(t *testing.T) {
 	if got.Rect[0] != 31 {
 		t.Fatalf("restored get: %+v", got)
 	}
-	// The legacy object is not addressable by key but still queryable.
-	if resp := getJSON(t, ts2.URL+"/get?key=legacy-1", nil); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("legacy object addressable by key: %d", resp.StatusCode)
+	if err := coll.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -251,7 +250,7 @@ func TestKeyedWALRecovery(t *testing.T) {
 	tree2, _ := rtree.NewChecked(opts)
 	idx2 := rtree.NewConcurrent(tree2)
 	coll2 := collection.New(idx2)
-	if _, err := Recover(w2, 0, idx2, coll2, t.Logf); err != nil {
+	if _, err := Recover(w2, 0, coll2, t.Logf); err != nil {
 		t.Fatal(err)
 	}
 	if coll2.Len() != 25 {

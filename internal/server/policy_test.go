@@ -11,7 +11,9 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/rlr-tree/rlrtree/internal/collection"
 	"github.com/rlr-tree/rlrtree/internal/core"
+	"github.com/rlr-tree/rlrtree/internal/geom"
 	"github.com/rlr-tree/rlrtree/internal/mlp"
 	"github.com/rlr-tree/rlrtree/internal/rtree"
 	"github.com/rlr-tree/rlrtree/internal/wal"
@@ -51,7 +53,7 @@ func newPolicyTestServer(t *testing.T, kind string) (*Server, *httptest.Server, 
 		t.Fatal(err)
 	}
 	s, err := New(Config{
-		Tree:      rtree.NewConcurrent(tree),
+		Index:     rtree.NewConcurrent(tree),
 		IndexName: "RLR-Tree",
 		Policy:    hot,
 	})
@@ -74,14 +76,13 @@ func policyRectSlice(rng *rand.Rand) []float64 {
 func TestServerPolicyEndpointAndStats(t *testing.T) {
 	_, ts, hot := newPolicyTestServer(t, "table")
 
-	// Insert a burst and check the policy stats section attributes it.
+	// Set a burst and check the policy stats section attributes it.
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 40; i++ {
-		var resp insertResponse
-		postJSON(t, ts.URL+"/insert", map[string]any{
-			"id":   fmt.Sprintf("t-%d", i),
+		postJSON(t, ts.URL+"/set", map[string]any{
+			"key":  fmt.Sprintf("t-%d", i),
 			"rect": policyRectSlice(rng),
-		}, &resp)
+		}, nil)
 	}
 	var stats statsResponse
 	getJSON(t, ts.URL+"/stats", &stats)
@@ -95,7 +96,7 @@ func TestServerPolicyEndpointAndStats(t *testing.T) {
 		t.Fatalf("table inserts = %v", stats.Policy.Inserts)
 	}
 
-	// Kind-only swap to the MLP backend, then keep inserting.
+	// Kind-only swap to the MLP backend, then keep setting.
 	var pr policyResponse
 	if resp := postJSON(t, ts.URL+"/policy", policyRequest{Kind: "mlp"}, &pr); resp.StatusCode != http.StatusOK {
 		t.Fatalf("swap status %d", resp.StatusCode)
@@ -104,11 +105,10 @@ func TestServerPolicyEndpointAndStats(t *testing.T) {
 		t.Fatalf("kind after swap %q", pr.Policy.Kind)
 	}
 	for i := 0; i < 10; i++ {
-		var resp insertResponse
-		postJSON(t, ts.URL+"/insert", map[string]any{
-			"id":   fmt.Sprintf("m-%d", i),
+		postJSON(t, ts.URL+"/set", map[string]any{
+			"key":  fmt.Sprintf("m-%d", i),
 			"rect": policyRectSlice(rng),
-		}, &resp)
+		}, nil)
 	}
 	getJSON(t, ts.URL+"/stats", &stats)
 	if stats.Policy.Inserts["table"] != 40 || stats.Policy.Inserts["mlp"] != 10 {
@@ -146,6 +146,19 @@ func TestServerPolicyEndpointAndStats(t *testing.T) {
 	}
 }
 
+// TestSetMovesCountAsPolicyInserts: a SET that moves a key reinserts it
+// through the active chooser, so it counts as an insert of the active
+// backend just like a fresh key; a DEL inserts nothing.
+func TestSetMovesCountAsPolicyInserts(t *testing.T) {
+	s, ts, _ := newPolicyTestServer(t, "table")
+	setKey(t, ts.URL, "bus", geom.NewRect(0.1, 0.1, 0.11, 0.11))
+	setKey(t, ts.URL, "bus", geom.NewRect(0.5, 0.5, 0.51, 0.51))
+	delKey(t, ts.URL, "bus")
+	if got := s.statsPayload().Policy.Inserts; got["table"] != 2 {
+		t.Fatalf("policy inserts = %v, want table:2", got)
+	}
+}
+
 func TestServerPolicyEndpointWithoutPolicy(t *testing.T) {
 	_, ts := newTestServer(t, "")
 	if resp := postJSON(t, ts.URL+"/policy", policyRequest{Kind: "table"}, nil); resp.StatusCode != http.StatusServiceUnavailable {
@@ -153,7 +166,7 @@ func TestServerPolicyEndpointWithoutPolicy(t *testing.T) {
 	}
 }
 
-// TestServerPolicySwapUnderInsertLoad hammers POST /policy while insert
+// TestServerPolicySwapUnderInsertLoad hammers POST /policy while SET
 // traffic is in flight; under -race this pins the hot-swap publication
 // protocol end to end through the HTTP layer.
 func TestServerPolicySwapUnderInsertLoad(t *testing.T) {
@@ -185,11 +198,10 @@ func TestServerPolicySwapUnderInsertLoad(t *testing.T) {
 			defer writersWG.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < perWriter; i++ {
-				var resp insertResponse
-				postJSON(t, ts.URL+"/insert", map[string]any{
-					"id":   fmt.Sprintf("w%d-%d", w, i),
+				postJSON(t, ts.URL+"/set", map[string]any{
+					"key":  fmt.Sprintf("w%d-%d", w, i),
 					"rect": policyRectSlice(rng),
-				}, &resp)
+				}, nil)
 			}
 		}(w)
 	}
@@ -222,7 +234,7 @@ func TestServerPolicySwapUnderInsertLoad(t *testing.T) {
 }
 
 // TestWALReplayBackendIndependent pins the durability contract: WAL
-// records are keyed by rect+id, never by the decision path, so a log
+// records carry key+rect, never the decision path, so a log
 // written while serving the table backend (with a mid-stream swap to the
 // MLP) replays identically into trees using any backend, or none.
 func TestWALReplayBackendIndependent(t *testing.T) {
@@ -244,7 +256,7 @@ func TestWALReplayBackendIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Tree: rtree.NewConcurrent(tree), WAL: w1, Policy: hot})
+	s, err := New(Config{Index: rtree.NewConcurrent(tree), WAL: w1, Policy: hot})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,8 +269,7 @@ func TestWALReplayBackendIndependent(t *testing.T) {
 	ack := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			id := fmt.Sprintf("obj-%d", i)
-			var resp insertResponse
-			postJSON(t, ts.URL+"/insert", map[string]any{"id": id, "rect": policyRectSlice(rng)}, &resp)
+			postJSON(t, ts.URL+"/set", map[string]any{"key": id, "rect": policyRectSlice(rng)}, nil)
 			oracle[id] = true
 		}
 	}
@@ -271,7 +282,7 @@ func TestWALReplayBackendIndependent(t *testing.T) {
 
 	// Abandon the server (simulated crash): no snapshot, no shutdown.
 	// Replay the log into one fresh tree per backend flavour; each must
-	// hold exactly the acknowledged IDs.
+	// hold exactly the acknowledged keys.
 	recoverInto := func(chooser rtree.SubtreeChooser, splitter rtree.Splitter) []string {
 		t.Helper()
 		opts := rtree.Options{MaxEntries: 8, MinEntries: 2}
@@ -288,7 +299,7 @@ func TestWALReplayBackendIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer w2.Close()
-		if _, err := Recover(w2, 0, idx, nil, nil); err != nil {
+		if _, err := Recover(w2, 0, collection.New(idx), nil); err != nil {
 			t.Fatal(err)
 		}
 		return indexIDs(t, idx)

@@ -8,25 +8,22 @@
 //
 // Endpoints:
 //
-//	POST /insert    {"id":"a","rect":[x1,y1,x2,y2]} or {"items":[...]}
-//	POST /delete    {"id":"a","rect":[x1,y1,x2,y2]}
 //	POST /set       {"key":"truck-1","rect":[x1,y1,x2,y2]} keyed upsert
 //	POST /del       {"key":"truck-1"} keyed delete
 //	GET  /get       ?key=truck-1
-//	GET  /search    ?rect=x1,y1,x2,y2 (&limit=N&cursor=... pages keyed objects)
+//	GET  /search    ?rect=x1,y1,x2,y2&limit=N&cursor=... keyed intersection query
 //	GET  /within    ?rect=x1,y1,x2,y2&limit=N&cursor=... keyed containment query
-//	GET  /knn       ?point=x,y&k=10 (&limit=N&cursor=... pages keyed neighbors)
+//	GET  /knn       ?point=x,y&k=10&limit=N&cursor=... keyed neighbors
 //	GET  /stats     tree structure + keyed counters + per-endpoint metrics
 //	POST /snapshot  force a snapshot to disk now
 //	GET  /healthz   liveness probe
 //
-// Object payloads are string IDs; delete matches on (rect, id), the same
-// equality rule as rtree.(*Tree).Delete. The keyed endpoints address
-// objects by key through internal/collection: SET moves the key's
-// previous object instead of adding a second one, and the paged query
-// modes return stable cursors (see internal/collection's cursor
-// contract). Every response is JSON. Request bodies are size-capped and
-// every request carries a deadline.
+// Every served object is a key of internal/collection: SET moves the
+// key's previous object instead of adding a second one, and the query
+// endpoints answer one page of keys with a stable resume cursor (see
+// internal/collection's cursor contract; limit defaults to MaxResults).
+// Every response is JSON. Request bodies are size-capped and query
+// requests carry a deadline.
 package server
 
 import (
@@ -44,7 +41,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/rlr-tree/rlrtree/internal/cliutil"
 	"github.com/rlr-tree/rlrtree/internal/collection"
 	"github.com/rlr-tree/rlrtree/internal/core"
 	"github.com/rlr-tree/rlrtree/internal/geom"
@@ -53,21 +49,16 @@ import (
 	"github.com/rlr-tree/rlrtree/internal/wal"
 )
 
-// Index is the serving-side contract of a concurrent spatial index:
-// everything the handlers need, nothing more. Both *rtree.ConcurrentTree
-// (one tree, lock-free epoch reads) and *shard.ShardedTree (N trees
-// behind a Z-order router, per-shard writer mutexes) satisfy it, so the
-// whole HTTP layer
-// is shard-agnostic — the RLR-Tree property that queries are classic
-// R-Tree algorithms extends one level up: the serving code cannot tell
-// how the index is partitioned.
+// Index is the serving-side contract of a concurrent spatial index: the
+// collection's Spatial contract plus what /stats and snapshots need.
+// Both *rtree.ConcurrentTree (one tree, lock-free epoch reads) and
+// *shard.ShardedTree (N trees behind a Z-order router, per-shard writer
+// mutexes) satisfy it, so the whole HTTP layer is shard-agnostic — the
+// RLR-Tree property that queries are classic R-Tree algorithms extends
+// one level up: the serving code cannot tell how the index is
+// partitioned.
 type Index interface {
-	Insert(r geom.Rect, data any)
-	InsertBatch(rects []geom.Rect, data []any)
-	Delete(r geom.Rect, data any) bool
-	SearchEach(q geom.Rect, fn func(geom.Rect, any)) rtree.QueryStats
-	KNNAppend(p geom.Point, k int, dst []rtree.Neighbor) ([]rtree.Neighbor, rtree.QueryStats)
-	Len() int
+	collection.Spatial
 	Stats() rtree.TreeStats
 	// PrepareSnapshot captures a consistent copy of the index now (a
 	// clone of the published epoch — cheap, done under the server's
@@ -102,22 +93,17 @@ type Rebalancer interface {
 // Defaults for the zero values of Config.
 const (
 	DefaultRequestTimeout    = 10 * time.Second
-	DefaultMaxBodyBytes      = 16 << 20 // 16 MiB: ~100K-item insert batches
+	DefaultMaxBodyBytes      = 16 << 20
 	DefaultMaxResults        = 100_000
 	DefaultRebalanceMaxCells = 64
 )
 
-// Config configures a Server. Exactly one of Tree and Index is
-// required (Index wins when both are set).
+// Config configures a Server. Index is required.
 type Config struct {
-	// Tree is the served single-tree index. Build it empty
-	// (cliutil.BuildIndex) or by bulk loading, then wrap it with
-	// rtree.NewConcurrent.
-	Tree *rtree.ConcurrentTree
-	// Index is the served index when it is not a single ConcurrentTree —
-	// a shard.ShardedTree, what LoadSnapshot restored (either kind), or
-	// any other Index implementation (which can serve, but SaveSnapshot
-	// only knows the payloads of those two).
+	// Index is the served index: an rtree.ConcurrentTree, a
+	// shard.ShardedTree, what LoadSnapshot restored (either kind), or any
+	// other Index implementation (which can serve, but SaveSnapshot only
+	// knows the payloads of those two).
 	Index Index
 	// IndexName labels the index in /stats output ("rtree", "RLR-Tree"...).
 	IndexName string
@@ -131,8 +117,8 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps request body sizes.
 	MaxBodyBytes int64
-	// MaxResults caps the number of IDs one /search response returns
-	// (the response reports the true total count alongside).
+	// MaxResults caps the rows of one query page, and is the page size
+	// when a request names no limit.
 	MaxResults int
 	// WAL, when non-nil, makes every mutating endpoint append its
 	// operation to the write-ahead log before applying it (see wal.go).
@@ -148,9 +134,6 @@ type Config struct {
 	// RebalanceMaxCells bounds the cells migrated per rebalance tick
 	// (default DefaultRebalanceMaxCells when the loop is enabled).
 	RebalanceMaxCells int
-	// AutoIDSeed starts the auto-assigned object ID counter past IDs
-	// already in use — Recover reports the right seed after a replay.
-	AutoIDSeed uint64
 	// Collection is the keyed object layer served by /set, /get, /del
 	// and the paged query modes. Pass the collection WAL recovery
 	// replayed into (built over Index with collection.Restore from the
@@ -180,7 +163,6 @@ type Server struct {
 	snapErrors  atomic.Int64  // snapshot attempts that failed
 	lastSnap    atomic.Int64  // unix nanos of the last snapshot
 	snapLSN     atomic.Uint64 // WAL LSN covered by the last snapshot
-	autoID      atomic.Uint64
 	stopSnap    chan struct{}
 	snapLoopWG  chan struct{} // closed when the background snapshot loop exits
 	rebalLoopWG chan struct{} // closed when the background rebalance loop exits
@@ -191,9 +173,9 @@ type Server struct {
 	// snapshot capture holds it exclusive (see wal.go for the
 	// consistency argument).
 	walMu sync.RWMutex
-	// idMu stripes per-object-ID ordering for WAL-enabled mutations:
-	// append+apply runs under the stripe of every ID it touches, so the
-	// log's LSN order matches the index apply order per ID and replay
+	// idMu stripes per-key ordering for WAL-enabled mutations:
+	// append+apply runs under the stripe of the key it touches, so the
+	// log's LSN order matches the apply order per key and replay
 	// reproduces exactly the acknowledged per-key outcome (see wal.go).
 	idMu [idStripes]sync.Mutex
 	// snapSaveMu single-flights SaveSnapshot: POST /snapshot, the
@@ -209,10 +191,7 @@ type Server struct {
 // background snapshot loop; call Start for that.
 func New(cfg Config) (*Server, error) {
 	if cfg.Index == nil {
-		if cfg.Tree == nil {
-			return nil, errors.New("server: Config.Tree or Config.Index is required")
-		}
-		cfg.Index = cfg.Tree
+		return nil, errors.New("server: Config.Index is required")
 	}
 	if cfg.IndexName == "" {
 		cfg.IndexName = "rtree"
@@ -244,7 +223,6 @@ func New(cfg Config) (*Server, error) {
 		snapLoopWG:  make(chan struct{}),
 		rebalLoopWG: make(chan struct{}),
 	}
-	s.autoID.Store(cfg.AutoIDSeed)
 	s.metrics.init()
 	return s, nil
 }
@@ -316,8 +294,6 @@ func (s *Server) Close() error {
 // is thousands of tiny POSTs per second).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /insert", s.instrument("insert", s.handleInsert))
-	mux.HandleFunc("POST /delete", s.instrument("delete", s.handleDelete))
 	mux.HandleFunc("POST /set", s.instrumentLean("set", s.handleSet))
 	mux.HandleFunc("GET /get", s.instrumentLean("get", s.handleGet))
 	mux.HandleFunc("POST /del", s.instrumentLean("del", s.handleDel))
@@ -370,9 +346,9 @@ func (s *Server) instrumentLean(endpoint string, h http.HandlerFunc) http.Handle
 	}
 }
 
-// recoverable runs h and converts a handler panic (for example the
-// InsertBatch length-mismatch panic path) into a 500 JSON error plus a
-// counted expvar metric, instead of letting net/http kill the connection.
+// recoverable runs h and converts a handler panic into a 500 JSON error
+// plus a counted expvar metric, instead of letting net/http kill the
+// connection.
 // The response is only written when the handler had not started one.
 func (s *Server) recoverable(endpoint string, h http.HandlerFunc, sw *statusWriter, r *http.Request) {
 	defer func() {
@@ -408,253 +384,6 @@ func (w *statusWriter) WriteHeader(code int) {
 func (w *statusWriter) Write(p []byte) (int, error) {
 	w.wrote = true
 	return w.ResponseWriter.Write(p)
-}
-
-// itemPayload is one object in the insert wire format.
-type itemPayload struct {
-	ID   string    `json:"id"`
-	Rect []float64 `json:"rect"`
-}
-
-// insertRequest accepts either a single object or a batch.
-type insertRequest struct {
-	itemPayload
-	Items []itemPayload `json:"items"`
-}
-
-type insertResponse struct {
-	Inserted int `json:"inserted"`
-	// IDs echoes the stored IDs only when the server assigned at least
-	// one (requests that name every ID already know them, and echoing
-	// a large batch would dominate the response).
-	IDs  []string `json:"ids,omitempty"`
-	Size int      `json:"size"`
-}
-
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	var req insertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad insert body: %w", err))
-		return
-	}
-	items := req.Items
-	if len(items) == 0 {
-		if len(req.Rect) == 0 {
-			httpError(w, http.StatusBadRequest, errors.New("insert needs rect or items"))
-			return
-		}
-		items = []itemPayload{req.itemPayload}
-	}
-	rects := make([]geom.Rect, len(items))
-	data := make([]any, len(items))
-	ids := make([]string, len(items))
-	assigned := false
-	for i, it := range items {
-		rect, err := parseRectSlice(it.Rect)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("items[%d]: %w", i, err))
-			return
-		}
-		id := it.ID
-		if id == "" {
-			id = fmt.Sprintf("obj-%d", s.autoID.Add(1))
-			assigned = true
-		}
-		rects[i], data[i], ids[i] = rect, id, id
-	}
-	if err := r.Context().Err(); err != nil {
-		httpError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	// WAL append first (when enabled), then one write-lock acquisition
-	// per shard for the whole batch.
-	if err := s.appendInsert(rects, data, ids, len(req.Items) == 0); err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.countPolicyInserts(len(items))
-	resp := insertResponse{Inserted: len(items), Size: s.index.Len()}
-	if assigned {
-		resp.IDs = ids
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-type deleteRequest struct {
-	ID   string    `json:"id"`
-	Rect []float64 `json:"rect"`
-}
-
-type deleteResponse struct {
-	Deleted bool `json:"deleted"`
-	Size    int  `json:"size"`
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	var req deleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad delete body: %w", err))
-		return
-	}
-	rect, err := parseRectSlice(req.Rect)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.ID == "" {
-		httpError(w, http.StatusBadRequest, errors.New("delete needs id"))
-		return
-	}
-	ok, err := s.appendDelete(rect, req.ID)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, deleteResponse{Deleted: ok, Size: s.index.Len()})
-}
-
-type searchResponse struct {
-	IDs           []string `json:"ids"`
-	Count         int      `json:"count"`
-	Truncated     bool     `json:"truncated,omitempty"`
-	NodesAccessed int      `json:"nodes_accessed"`
-}
-
-// respScratch is the reusable response-encoding state of the query
-// handlers: the ID and neighbor accumulation slices and the JSON output
-// buffer. Pooled like the index's query scratch, it makes a steady-state
-// /search or /knn allocate only what encoding/json itself needs.
-type respScratch struct {
-	ids       []string
-	neighbors []knnNeighbor
-	knnBuf    []rtree.Neighbor
-	buf       bytes.Buffer
-}
-
-var respPool = sync.Pool{New: func() any { return new(respScratch) }}
-
-func getRespScratch() *respScratch {
-	rs := respPool.Get().(*respScratch)
-	// Non-nil accumulators keep the wire format stable: empty results
-	// encode as [] rather than null, as the pre-pooling handlers did.
-	if rs.ids == nil {
-		rs.ids = make([]string, 0, 16)
-	}
-	if rs.neighbors == nil {
-		rs.neighbors = make([]knnNeighbor, 0, 16)
-	}
-	return rs
-}
-
-func (rs *respScratch) release() {
-	clear(rs.ids[:cap(rs.ids)]) // drop string/payload references
-	clear(rs.neighbors[:cap(rs.neighbors)])
-	clear(rs.knnBuf[:cap(rs.knnBuf)])
-	rs.ids = rs.ids[:0]
-	rs.neighbors = rs.neighbors[:0]
-	rs.knnBuf = rs.knnBuf[:0]
-	rs.buf.Reset()
-	respPool.Put(rs)
-}
-
-// idString renders a stored payload as its wire ID. Payloads inserted
-// through this server are always strings; the type switch keeps foreign
-// payloads (trees restored from snapshots written by other tools) working
-// without paying fmt.Sprint on the fast path.
-func idString(d any) string {
-	switch v := d.(type) {
-	case string:
-		return v
-	case int:
-		return strconv.Itoa(v)
-	default:
-		return fmt.Sprint(v)
-	}
-}
-
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	params := r.URL.Query()
-	q, err := cliutil.ParseRect(params.Get("rect"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad rect: %w", err))
-		return
-	}
-	if cur, limit, paged, err := s.pageParams(params); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	} else if paged {
-		s.handleSearchPaged(w, q, cur, limit)
-		return
-	}
-	rs := getRespScratch()
-	defer rs.release()
-	// Stream matches straight into the pooled ID slice — no intermediate
-	// []any materialization; the cap keeps truncated responses cheap.
-	maxIDs := s.cfg.MaxResults
-	stats := s.index.SearchEach(q, func(_ geom.Rect, d any) {
-		if len(rs.ids) < maxIDs {
-			rs.ids = append(rs.ids, idString(d))
-		}
-	})
-	s.metrics.endpoint("search").addNodeAccesses(stats.NodesAccessed)
-	resp := searchResponse{
-		IDs:           rs.ids,
-		Count:         stats.Results,
-		Truncated:     stats.Results > len(rs.ids),
-		NodesAccessed: stats.NodesAccessed,
-	}
-	writeJSONBuf(w, http.StatusOK, resp, &rs.buf)
-}
-
-type knnNeighbor struct {
-	ID     string     `json:"id"`
-	Rect   [4]float64 `json:"rect"`
-	DistSq float64    `json:"distsq"`
-}
-
-type knnResponse struct {
-	Neighbors     []knnNeighbor `json:"neighbors"`
-	NodesAccessed int           `json:"nodes_accessed"`
-}
-
-func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	params := r.URL.Query()
-	p, err := cliutil.ParsePoint(params.Get("point"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad point: %w", err))
-		return
-	}
-	k := 10
-	if ks := params.Get("k"); ks != "" {
-		if k, err = strconv.Atoi(ks); err != nil || k <= 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad k %q", ks))
-			return
-		}
-	}
-	if k > s.cfg.MaxResults {
-		k = s.cfg.MaxResults
-	}
-	if cur, limit, paged, err := s.pageParams(params); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	} else if paged {
-		s.handleKNNPaged(w, p, k, cur, limit)
-		return
-	}
-	rs := getRespScratch()
-	defer rs.release()
-	neighbors, stats := s.index.KNNAppend(p, k, rs.knnBuf)
-	rs.knnBuf = neighbors
-	s.metrics.endpoint("knn").addNodeAccesses(stats.NodesAccessed)
-	for _, nb := range neighbors {
-		rs.neighbors = append(rs.neighbors, knnNeighbor{
-			ID:     idString(nb.Data),
-			Rect:   [4]float64{nb.Rect.MinX, nb.Rect.MinY, nb.Rect.MaxX, nb.Rect.MaxY},
-			DistSq: nb.DistSq,
-		})
-	}
-	resp := knnResponse{NodesAccessed: stats.NodesAccessed, Neighbors: rs.neighbors}
-	writeJSONBuf(w, http.StatusOK, resp, &rs.buf)
 }
 
 // statsResponse is the /stats payload; EndpointStats documents the
@@ -805,7 +534,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // writeJSONBuf encodes v through the caller's reusable buffer, setting
 // Content-Length so keep-alive clients need no chunked framing. The buffer
-// belongs to a pooled respScratch; its backing array is recycled across
+// belongs to a pooled keyedScratch; its backing array is recycled across
 // requests.
 func writeJSONBuf(w http.ResponseWriter, code int, v any, buf *bytes.Buffer) {
 	buf.Reset()

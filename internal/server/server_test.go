@@ -9,12 +9,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/rlr-tree/rlrtree/internal/cliutil"
+	"github.com/rlr-tree/rlrtree/internal/collection"
 	"github.com/rlr-tree/rlrtree/internal/geom"
 	"github.com/rlr-tree/rlrtree/internal/rtree"
 	"github.com/rlr-tree/rlrtree/internal/shard"
@@ -33,7 +33,7 @@ func newTestServer(t *testing.T, snapshotPath string) (*Server, *httptest.Server
 		t.Fatal(err)
 	}
 	s, err := New(Config{
-		Tree:         rtree.NewConcurrent(tree),
+		Index:        rtree.NewConcurrent(tree),
 		IndexName:    name,
 		SnapshotPath: snapshotPath,
 	})
@@ -84,35 +84,58 @@ func rectSlice(r geom.Rect) []float64 {
 	return []float64{r.MinX, r.MinY, r.MaxX, r.MaxY}
 }
 
-// TestServerLifecycle is the end-to-end integration test: insert (single
-// + batch), search, KNN, delete, snapshot, restart from the snapshot,
-// and identical query results on the restored server. Run it with
-// -race: queries below run from concurrent goroutines.
+// setKey SETs key at r and fails the test unless the server accepted it.
+func setKey(t *testing.T, base, key string, r geom.Rect) setResponse {
+	t.Helper()
+	var res setResponse
+	if resp := postJSON(t, base+"/set", map[string]any{"key": key, "rect": rectSlice(r)}, &res); resp.StatusCode != http.StatusOK {
+		t.Fatalf("set %q: status %d", key, resp.StatusCode)
+	}
+	return res
+}
+
+// delKey DELs key and returns the response.
+func delKey(t *testing.T, base, key string) delResponse {
+	t.Helper()
+	var res delResponse
+	if resp := postJSON(t, base+"/del", map[string]any{"key": key}, &res); resp.StatusCode != http.StatusOK {
+		t.Fatalf("del %q: status %d", key, resp.StatusCode)
+	}
+	return res
+}
+
+// searchKeys returns every key /search pages out for q.
+func searchKeys(t *testing.T, base string, q geom.Rect) []string {
+	t.Helper()
+	var page pagedWire
+	getJSON(t, fmt.Sprintf("%s/search?rect=%g,%g,%g,%g", base, q.MinX, q.MinY, q.MaxX, q.MaxY), &page)
+	if page.Cursor != "" {
+		t.Fatalf("search %v: more than one page", q)
+	}
+	return page.Keys
+}
+
+// TestServerLifecycle is the end-to-end integration test: set, search,
+// KNN, del, snapshot, restart from the snapshot, and identical query
+// results on the restored server. Run it with -race: queries below run
+// from concurrent goroutines.
 func TestServerLifecycle(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "tree.gob")
 	s, ts := newTestServer(t, snap)
 
 	rng := rand.New(rand.NewSource(42))
 	const n = 2000
-	items := make([]map[string]any, n)
-	for i := range items {
-		r := geom.Square(rng.Float64(), rng.Float64(), 0.01)
-		items[i] = map[string]any{"id": fmt.Sprintf("obj-%04d", i), "rect": rectSlice(r)}
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("obj-%04d", i)
+		res := setKey(t, ts.URL, keys[i], geom.Square(rng.Float64(), rng.Float64(), 0.01))
+		if res.Replaced || res.Size != i+1 {
+			t.Fatalf("set %d: %+v", i, res)
+		}
 	}
 
-	// Single insert.
-	var ins insertResponse
-	resp := postJSON(t, ts.URL+"/insert", items[0], &ins)
-	if resp.StatusCode != http.StatusOK || ins.Inserted != 1 || ins.Size != 1 {
-		t.Fatalf("single insert: %d %+v", resp.StatusCode, ins)
-	}
-	// Batch insert of the rest.
-	resp = postJSON(t, ts.URL+"/insert", map[string]any{"items": items[1:]}, &ins)
-	if resp.StatusCode != http.StatusOK || ins.Inserted != n-1 || ins.Size != n {
-		t.Fatalf("batch insert: %d %+v", resp.StatusCode, ins)
-	}
-
-	// Concurrent search + KNN readers (exercises the RWMutex under -race).
+	// Concurrent search + KNN readers (exercises lock-free epoch reads
+	// under -race).
 	queries := make([]geom.Rect, 50)
 	for i := range queries {
 		queries[i] = geom.Square(rng.Float64(), rng.Float64(), 0.05)
@@ -124,16 +147,16 @@ func TestServerLifecycle(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, q := range queries {
-				var sr searchResponse
+				var sr pagedWire
 				getJSON(t, fmt.Sprintf("%s/search?rect=%g,%g,%g,%g", ts.URL, q.MinX, q.MinY, q.MaxX, q.MaxY), &sr)
 				if sr.NodesAccessed == 0 {
 					t.Errorf("worker %d query %d: no node accesses reported", w, i)
 					return
 				}
-				var kr knnResponse
+				var kr pagedWire
 				getJSON(t, fmt.Sprintf("%s/knn?point=%g,%g&k=5", ts.URL, q.MinX, q.MinY), &kr)
-				if len(kr.Neighbors) != 5 {
-					t.Errorf("knn returned %d neighbors", len(kr.Neighbors))
+				if len(kr.Keys) != 5 {
+					t.Errorf("knn returned %d neighbors", len(kr.Keys))
 					return
 				}
 			}
@@ -142,14 +165,11 @@ func TestServerLifecycle(t *testing.T) {
 	wg.Wait()
 
 	// Delete one object and verify it is gone.
-	var del deleteResponse
-	postJSON(t, ts.URL+"/delete", items[0], &del)
-	if !del.Deleted || del.Size != n-1 {
-		t.Fatalf("delete: %+v", del)
+	if del := delKey(t, ts.URL, keys[0]); !del.Deleted || del.Size != n-1 {
+		t.Fatalf("del: %+v", del)
 	}
-	postJSON(t, ts.URL+"/delete", items[0], &del)
-	if del.Deleted {
-		t.Fatalf("second delete of same object succeeded")
+	if del := delKey(t, ts.URL, keys[0]); del.Deleted {
+		t.Fatalf("second del of same key succeeded")
 	}
 
 	// Stats: request counts, latency, node accesses.
@@ -158,7 +178,7 @@ func TestServerLifecycle(t *testing.T) {
 	if st.Tree.Size != n-1 || st.Tree.Height < 2 || st.Tree.Nodes == 0 {
 		t.Fatalf("tree stats: %+v", st.Tree)
 	}
-	if st.Endpoints["insert"].Count != 2 || st.Endpoints["delete"].Count != 2 {
+	if st.Endpoints["set"].Count != n || st.Endpoints["del"].Count != 2 {
 		t.Fatalf("endpoint counts: %+v", st.Endpoints)
 	}
 	se := st.Endpoints["search"]
@@ -170,28 +190,23 @@ func TestServerLifecycle(t *testing.T) {
 	}
 
 	// Explicit snapshot, then collect reference results.
-	resp = postJSON(t, ts.URL+"/snapshot", map[string]any{}, nil)
+	resp := postJSON(t, ts.URL+"/snapshot", map[string]any{}, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot: %d", resp.StatusCode)
 	}
 	type refResult struct {
-		ids      []string
+		keys     []string
 		accesses int
-		knnIDs   []string
+		knnKeys  []string
 	}
 	collect := func(base string) []refResult {
 		out := make([]refResult, len(queries))
 		for i, q := range queries {
-			var sr searchResponse
+			var sr pagedWire
 			getJSON(t, fmt.Sprintf("%s/search?rect=%g,%g,%g,%g", base, q.MinX, q.MinY, q.MaxX, q.MaxY), &sr)
-			sort.Strings(sr.IDs)
-			var kr knnResponse
+			var kr pagedWire
 			getJSON(t, fmt.Sprintf("%s/knn?point=%g,%g&k=7", base, q.MinX, q.MinY), &kr)
-			knn := make([]string, len(kr.Neighbors))
-			for j, nb := range kr.Neighbors {
-				knn[j] = nb.ID
-			}
-			out[i] = refResult{ids: sr.IDs, accesses: sr.NodesAccessed, knnIDs: knn}
+			out[i] = refResult{keys: sr.Keys, accesses: sr.NodesAccessed, knnKeys: kr.Keys}
 		}
 		return out
 	}
@@ -209,14 +224,14 @@ func TestServerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, _, _, err := LoadSnapshot(snap, shard.Options{Tree: opts})
+	restored, pairs, _, err := LoadSnapshot(snap, shard.Options{Tree: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Len() != n-1 {
-		t.Fatalf("restored %d objects, want %d", restored.Len(), n-1)
+	if restored.Len() != n-1 || len(pairs) != n-1 {
+		t.Fatalf("restored %d objects and %d keys, want %d", restored.Len(), len(pairs), n-1)
 	}
-	s2, err := New(Config{Index: restored, IndexName: "rtree"})
+	s2, err := New(Config{Index: restored, Collection: collection.Restore(restored, pairs), IndexName: "rtree"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,21 +239,14 @@ func TestServerLifecycle(t *testing.T) {
 	defer ts2.Close()
 	got := collect(ts2.URL)
 	for i := range want {
-		if len(got[i].ids) != len(want[i].ids) {
-			t.Fatalf("query %d: %d results after restore, want %d", i, len(got[i].ids), len(want[i].ids))
-		}
-		for j := range want[i].ids {
-			if got[i].ids[j] != want[i].ids[j] {
-				t.Fatalf("query %d result %d: %q != %q", i, j, got[i].ids[j], want[i].ids[j])
-			}
+		if fmt.Sprint(got[i].keys) != fmt.Sprint(want[i].keys) {
+			t.Fatalf("query %d: %v after restore, want %v", i, got[i].keys, want[i].keys)
 		}
 		if got[i].accesses != want[i].accesses {
 			t.Fatalf("query %d: %d node accesses after restore, want %d", i, got[i].accesses, want[i].accesses)
 		}
-		for j := range want[i].knnIDs {
-			if got[i].knnIDs[j] != want[i].knnIDs[j] {
-				t.Fatalf("query %d knn %d: %q != %q", i, j, got[i].knnIDs[j], want[i].knnIDs[j])
-			}
+		if fmt.Sprint(got[i].knnKeys) != fmt.Sprint(want[i].knnKeys) {
+			t.Fatalf("query %d knn: %v after restore, want %v", i, got[i].knnKeys, want[i].knnKeys)
 		}
 	}
 }
@@ -246,7 +254,7 @@ func TestServerLifecycle(t *testing.T) {
 func TestServerCloseWritesFinalSnapshot(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "final.gob")
 	s, ts := newTestServer(t, snap)
-	postJSON(t, ts.URL+"/insert", map[string]any{"id": "x", "rect": []float64{0.1, 0.1, 0.2, 0.2}}, nil)
+	setKey(t, ts.URL, "x", geom.NewRect(0.1, 0.1, 0.2, 0.2))
 	ts.Close()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -270,7 +278,7 @@ func TestBackgroundSnapshotLoop(t *testing.T) {
 	opts, _, _ := cliutil.IndexOptions("", "rtree", 16, 6)
 	tree, _ := rtree.NewChecked(opts)
 	s, err := New(Config{
-		Tree:          rtree.NewConcurrent(tree),
+		Index:         rtree.NewConcurrent(tree),
 		SnapshotPath:  snap,
 		SnapshotEvery: 10 * time.Millisecond,
 	})
@@ -280,7 +288,7 @@ func TestBackgroundSnapshotLoop(t *testing.T) {
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	postJSON(t, ts.URL+"/insert", map[string]any{"rect": []float64{0, 0, 0.1, 0.1}}, nil)
+	setKey(t, ts.URL, "x", geom.NewRect(0, 0, 0.1, 0.1))
 	deadline := time.Now().Add(5 * time.Second)
 	for s.snapshots.Load() == 0 {
 		if time.Now().After(deadline) {
@@ -302,14 +310,14 @@ func TestBadRequests(t *testing.T) {
 		method, path string
 		body         string
 	}{
-		{"POST", "/insert", `{"rect":[1,2,3]}`},                 // arity
-		{"POST", "/insert", `{"rect":[0.3,0.3,0.1,0.1]}`},       // inverted
-		{"POST", "/insert", `not json`},                         // parse error
-		{"POST", "/insert", `{"items":[{"rect":[0,0,"a",1]}]}`}, // non-numeric coord
-		{"POST", "/delete", `{"rect":[0,0,1,1]}`},               // missing id
-		{"GET", "/search?rect=1,2", ""},                         // arity
-		{"GET", "/knn?point=0.5,0.5&k=-2", ""},                  // bad k
-		{"GET", "/knn?point=zap", ""},                           // bad point
+		{"POST", "/set", `{"key":"a","rect":[1,2,3]}`},           // arity
+		{"POST", "/set", `{"key":"a","rect":[0.3,0.3,0.1,0.1]}`}, // inverted
+		{"POST", "/set", `not json`},                             // parse error
+		{"POST", "/set", `{"key":"a","rect":[0,0,"a",1]}`},       // non-numeric coord
+		{"POST", "/del", `{"rect":[0,0,1,1]}`},                   // missing key
+		{"GET", "/search?rect=1,2", ""},                          // arity
+		{"GET", "/knn?point=0.5,0.5&k=-2", ""},                   // bad k
+		{"GET", "/knn?point=zap", ""},                            // bad point
 	}
 	for _, c := range cases {
 		var resp *http.Response
@@ -339,28 +347,28 @@ func TestBadRequests(t *testing.T) {
 		t.Errorf("snapshot without path: %d, want 503", resp.StatusCode)
 	}
 	// Wrong method is rejected by the mux.
-	resp, err = http.Get(ts.URL + "/insert")
+	resp, err = http.Get(ts.URL + "/set")
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /insert: %d, want 405", resp.StatusCode)
+		t.Errorf("GET /set: %d, want 405", resp.StatusCode)
 	}
 }
 
 func TestBodySizeCap(t *testing.T) {
 	opts, _, _ := cliutil.IndexOptions("", "rtree", 16, 6)
 	tree, _ := rtree.NewChecked(opts)
-	s, err := New(Config{Tree: rtree.NewConcurrent(tree), MaxBodyBytes: 256})
+	s, err := New(Config{Index: rtree.NewConcurrent(tree), MaxBodyBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	big := bytes.Repeat([]byte("x"), 1024)
-	resp, err := http.Post(ts.URL+"/insert", "application/json", bytes.NewReader(big))
+	resp, err := http.Post(ts.URL+"/set", "application/json", bytes.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,42 +379,43 @@ func TestBodySizeCap(t *testing.T) {
 	}
 }
 
-func TestAutoIDAssignment(t *testing.T) {
-	_, ts := newTestServer(t, "")
-	var ins insertResponse
-	postJSON(t, ts.URL+"/insert", map[string]any{"items": []map[string]any{
-		{"rect": []float64{0, 0, 0.1, 0.1}},
-		{"rect": []float64{0.2, 0.2, 0.3, 0.3}},
-	}}, &ins)
-	if len(ins.IDs) != 2 || ins.IDs[0] == "" || ins.IDs[0] == ins.IDs[1] {
-		t.Fatalf("auto ids: %+v", ins)
-	}
-	var sr searchResponse
-	getJSON(t, ts.URL+"/search?rect=0,0,1,1", &sr)
-	if sr.Count != 2 {
-		t.Fatalf("count %d", sr.Count)
-	}
-}
-
-func TestSearchTruncation(t *testing.T) {
+// TestQueriesWithoutLimitAnswerOnePage: with no limit, /search and /knn
+// answer one keyed page clamped to MaxResults — there is no unpaged
+// mode — and the retired ID endpoints are gone.
+func TestQueriesWithoutLimitAnswerOnePage(t *testing.T) {
 	opts, _, _ := cliutil.IndexOptions("", "rtree", 16, 6)
 	tree, _ := rtree.NewChecked(opts)
-	s, err := New(Config{Tree: rtree.NewConcurrent(tree), MaxResults: 5})
+	s, err := New(Config{Index: rtree.NewConcurrent(tree), MaxResults: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	items := make([]map[string]any, 20)
 	rng := rand.New(rand.NewSource(7))
-	for i := range items {
-		items[i] = map[string]any{"id": fmt.Sprintf("t%d", i), "rect": rectSlice(geom.Square(rng.Float64(), rng.Float64(), 0.01))}
+	for i := 0; i < 20; i++ {
+		setKey(t, ts.URL, fmt.Sprintf("t%02d", i), geom.Square(rng.Float64(), rng.Float64(), 0.01))
 	}
-	postJSON(t, ts.URL+"/insert", map[string]any{"items": items}, nil)
-	var sr searchResponse
+	var sr pagedWire
 	getJSON(t, ts.URL+"/search?rect=-1,-1,2,2", &sr)
-	if !sr.Truncated || len(sr.IDs) != 5 || sr.Count != 20 {
-		t.Fatalf("truncation: %+v", sr)
+	if len(sr.Keys) != 5 || sr.Count != 5 || sr.Cursor == "" || sr.Keys[0] != "t00" {
+		t.Fatalf("search without limit: %+v", sr)
+	}
+	var kr pagedWire
+	getJSON(t, ts.URL+"/knn?point=0.5,0.5&k=20", &kr)
+	if len(kr.Keys) != 5 || len(kr.Dists) != 5 {
+		t.Fatalf("knn without limit: %+v", kr)
+	}
+	for _, path := range []string{"/insert", "/delete"} {
+		resp, err := http.Post(ts.URL+path, "application/json",
+			bytes.NewReader([]byte(`{"id":"a","rect":[0,0,1,1]}`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 

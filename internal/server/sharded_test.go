@@ -7,9 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"sort"
 	"testing"
 
+	"github.com/rlr-tree/rlrtree/internal/collection"
 	"github.com/rlr-tree/rlrtree/internal/geom"
 	"github.com/rlr-tree/rlrtree/internal/rtree"
 	"github.com/rlr-tree/rlrtree/internal/shard"
@@ -41,12 +41,12 @@ func newShardedTestServer(t *testing.T, snapshotPath string) (*Server, *httptest
 
 func TestConfigRequiresAnIndex(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
-		t.Fatal("Config with neither Tree nor Index accepted")
+		t.Fatal("Config without an Index accepted")
 	}
 }
 
 // TestShardedServerLifecycle runs the serving loop over a ShardedTree:
-// insert, query, per-shard /stats breakdown, snapshot, restart from it,
+// set, query, per-shard /stats breakdown, snapshot, restart from it,
 // identical query results.
 func TestShardedServerLifecycle(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "sharded.gob")
@@ -54,15 +54,8 @@ func TestShardedServerLifecycle(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(11))
 	const n = 3000
-	items := make([]map[string]any, n)
-	for i := range items {
-		r := geom.Square(rng.Float64(), rng.Float64(), 0.01)
-		items[i] = map[string]any{"id": fmt.Sprintf("obj-%04d", i), "rect": rectSlice(r)}
-	}
-	var ins insertResponse
-	resp := postJSON(t, ts.URL+"/insert", map[string]any{"items": items}, &ins)
-	if resp.StatusCode != http.StatusOK || ins.Inserted != n || ins.Size != n {
-		t.Fatalf("batch insert: %d %+v", resp.StatusCode, ins)
+	for i := 0; i < n; i++ {
+		setKey(t, ts.URL, fmt.Sprintf("obj-%04d", i), geom.Square(rng.Float64(), rng.Float64(), 0.01))
 	}
 
 	// /stats aggregates across shards and carries the per-shard breakdown.
@@ -85,11 +78,9 @@ func TestShardedServerLifecycle(t *testing.T) {
 		t.Fatalf("per-shard sizes sum to %d, want %d", perShardSum, n)
 	}
 
-	// A delete routed through the server really lands.
-	var del deleteResponse
-	postJSON(t, ts.URL+"/delete", items[0], &del)
-	if !del.Deleted || del.Size != n-1 {
-		t.Fatalf("delete: %+v", del)
+	// A del routed through the server really lands.
+	if del := delKey(t, ts.URL, "obj-0000"); !del.Deleted || del.Size != n-1 {
+		t.Fatalf("del: %+v", del)
 	}
 
 	// Reference query results, then snapshot + shutdown.
@@ -100,21 +91,14 @@ func TestShardedServerLifecycle(t *testing.T) {
 	collect := func(base string) [][]string {
 		out := make([][]string, 0, 2*len(queries))
 		for _, q := range queries {
-			var sr searchResponse
-			getJSON(t, fmt.Sprintf("%s/search?rect=%g,%g,%g,%g", base, q.MinX, q.MinY, q.MaxX, q.MaxY), &sr)
-			sort.Strings(sr.IDs)
-			var kr knnResponse
+			var kr pagedWire
 			getJSON(t, fmt.Sprintf("%s/knn?point=%g,%g&k=9", base, q.MinX, q.MinY), &kr)
-			knn := make([]string, len(kr.Neighbors))
-			for j, nb := range kr.Neighbors {
-				knn[j] = nb.ID
-			}
-			out = append(out, sr.IDs, knn)
+			out = append(out, searchKeys(t, base, q), kr.Keys)
 		}
 		return out
 	}
 	want := collect(ts.URL)
-	resp = postJSON(t, ts.URL+"/snapshot", map[string]any{}, nil)
+	resp := postJSON(t, ts.URL+"/snapshot", map[string]any{}, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot: %d", resp.StatusCode)
 	}
@@ -130,7 +114,7 @@ func TestShardedServerLifecycle(t *testing.T) {
 		t.Fatalf("single-tree load of a sharded snapshot: err = %v, want ErrSnapshotKind", err)
 	}
 	opts.Shards = 2
-	index, _, _, err := LoadSnapshot(snap, opts)
+	index, pairs, _, err := LoadSnapshot(snap, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +125,7 @@ func TestShardedServerLifecycle(t *testing.T) {
 	}
 
 	// ...and the restored server answers every query identically.
-	s2, err := New(Config{Index: restored, IndexName: "rtree[4 shards]"})
+	s2, err := New(Config{Index: restored, Collection: collection.Restore(restored, pairs), IndexName: "rtree[4 shards]"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +134,11 @@ func TestShardedServerLifecycle(t *testing.T) {
 	got := collect(ts2.URL)
 	for i := range want {
 		if len(got[i]) != len(want[i]) {
-			t.Fatalf("result set %d: %d ids after restore, want %d", i, len(got[i]), len(want[i]))
+			t.Fatalf("result set %d: %d keys after restore, want %d", i, len(got[i]), len(want[i]))
 		}
 		for j := range want[i] {
 			if got[i][j] != want[i][j] {
-				t.Fatalf("result set %d id %d: %q != %q", i, j, got[i][j], want[i][j])
+				t.Fatalf("result set %d key %d: %q != %q", i, j, got[i][j], want[i][j])
 			}
 		}
 	}

@@ -52,10 +52,11 @@ func (c snapCase) opts() shard.Options {
 	return o
 }
 
-// saveTestSnapshot builds a server for the case, writes n objects through
-// its mutation path (keyed SETs with some moves and a DEL, or legacy
-// rect-ID inserts that leave the key map empty), snapshots, and returns
-// the live server, its log and the snapshot path.
+// saveTestSnapshot builds a server for the case, SETs n objects through
+// its mutation path, then either moves some and DELs one (keyed) or
+// DELs them all again, leaving the key map and the index empty (not
+// keyed), snapshots, and returns the live server, its log and the
+// snapshot path.
 func saveTestSnapshot(t testing.TB, c snapCase, n int) (*Server, *wal.WAL, string) {
 	t.Helper()
 	dir := t.TempDir()
@@ -86,12 +87,7 @@ func saveTestSnapshot(t testing.TB, c snapCase, n int) (*Server, *wal.WAL, strin
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("o-%03d", i)
 		r := geom.Square(rng.Float64(), rng.Float64(), 0.01)
-		if c.keyed {
-			_, err = s.appendSet(id, r)
-		} else {
-			err = s.appendInsert([]geom.Rect{r}, []any{id}, []string{id}, true)
-		}
-		if err != nil {
+		if _, err := s.appendSet(id, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,6 +98,11 @@ func saveTestSnapshot(t testing.TB, c snapCase, n int) (*Server, *wal.WAL, strin
 			}
 		}
 		if _, err := s.appendDelKey("o-001"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; !c.keyed && i < n; i++ {
+		if _, err := s.appendDelKey(fmt.Sprintf("o-%03d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}

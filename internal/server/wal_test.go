@@ -50,17 +50,16 @@ func oracleIDs(oracle map[string]geom.Rect) []string {
 	return ids
 }
 
-func newWALTestServer(t *testing.T, w *wal.WAL, snapPath string, seed uint64) (*Server, *httptest.Server) {
+func newWALTestServer(t *testing.T, w *wal.WAL, snapPath string) (*Server, *httptest.Server) {
 	t.Helper()
 	tree, err := rtree.NewChecked(rtree.Options{MaxEntries: 16, MinEntries: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(Config{
-		Tree:         rtree.NewConcurrent(tree),
+		Index:        rtree.NewConcurrent(tree),
 		SnapshotPath: snapPath,
 		WAL:          w,
-		AutoIDSeed:   seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,11 +70,11 @@ func newWALTestServer(t *testing.T, w *wal.WAL, snapPath string, seed uint64) (*
 	return s, ts
 }
 
-// TestServerWALCrashRecovery is the headline path: inserts and deletes
+// TestServerWALCrashRecovery is the headline path: sets, moves and dels
 // over HTTP, a snapshot mid-stream, more writes, then an abandoned
 // server. Recovery = restore snapshot, replay the log past its LSN;
-// the rebuilt index must hold exactly the acknowledged state, and the
-// auto-ID counter must resume past every replayed ID.
+// the rebuilt collection must hold exactly the acknowledged state, and
+// a server restarted over it keeps appending.
 func TestServerWALCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
@@ -85,41 +84,25 @@ func TestServerWALCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newWALTestServer(t, w1, snap, 0)
+	_, ts := newWALTestServer(t, w1, snap)
 
 	rng := rand.New(rand.NewSource(42))
 	oracle := make(map[string]geom.Rect)
-	insert := func(id string) string {
+	set := func(key string) {
 		r := geom.Square(rng.Float64(), rng.Float64(), 0.01)
-		var resp struct {
-			Inserted int      `json:"inserted"`
-			IDs      []string `json:"ids"`
-		}
-		postJSON(t, ts.URL+"/insert", map[string]any{"id": id, "rect": rectSlice(r)}, &resp)
-		if resp.Inserted != 1 {
-			t.Fatalf("inserted = %d", resp.Inserted)
-		}
-		if id == "" {
-			if len(resp.IDs) != 1 {
-				t.Fatalf("auto-ID insert echoed %d IDs", len(resp.IDs))
-			}
-			id = resp.IDs[0]
-		}
-		oracle[id] = r
-		return id
+		setKey(t, ts.URL, key, r)
+		oracle[key] = r
 	}
-	del := func(id string) {
-		var resp deleteResponse
-		postJSON(t, ts.URL+"/delete", map[string]any{"id": id, "rect": rectSlice(oracle[id])}, &resp)
-		if !resp.Deleted {
-			t.Fatalf("delete %s missed", id)
+	del := func(key string) {
+		if !delKey(t, ts.URL, key).Deleted {
+			t.Fatalf("del %s missed", key)
 		}
-		delete(oracle, id)
+		delete(oracle, key)
 	}
 
-	// Phase 1 (covered by the snapshot): 40 named objects, 10 deleted.
+	// Phase 1 (covered by the snapshot): 40 keys, 10 deleted.
 	for i := 0; i < 40; i++ {
-		insert(fmt.Sprintf("pre-%02d", i))
+		set(fmt.Sprintf("pre-%02d", i))
 	}
 	for i := 0; i < 10; i++ {
 		del(fmt.Sprintf("pre-%02d", i))
@@ -152,21 +135,12 @@ func TestServerWALCrashRecovery(t *testing.T) {
 		t.Fatalf("wal stats = %+v", stats.WAL)
 	}
 
-	// Phase 2 (replay-only): a batch, auto-ID inserts, more deletes.
-	batch := make([]map[string]any, 15)
-	for i := range batch {
-		r := geom.Square(rng.Float64(), rng.Float64(), 0.01)
-		id := fmt.Sprintf("post-%02d", i)
-		batch[i] = map[string]any{"id": id, "rect": rectSlice(r)}
-		oracle[id] = r
+	// Phase 2 (replay-only): fresh keys, moves of snapshotted keys, dels.
+	for i := 0; i < 15; i++ {
+		set(fmt.Sprintf("post-%02d", i))
 	}
-	postJSON(t, ts.URL+"/insert", map[string]any{"items": batch}, nil)
-	var lastAuto string
-	for i := 0; i < 10; i++ {
-		lastAuto = insert("")
-	}
-	if lastAuto != "obj-10" {
-		t.Fatalf("last auto ID = %s, want obj-10", lastAuto)
+	for i := 30; i < 40; i++ {
+		set(fmt.Sprintf("pre-%02d", i))
 	}
 	del("pre-20")
 	del("post-03")
@@ -180,32 +154,35 @@ func TestServerWALCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	idx2, _, lsn := loadSingle(t, snap)
+	idx2, pairs, lsn := loadSingle(t, snap)
 	if lsn == 0 {
 		t.Fatal("snapshot carries no LSN")
 	}
-	res, err := Recover(w2, lsn, idx2, nil, t.Logf)
-	if err != nil {
+	coll2 := collection.Restore(idx2, pairs)
+	if _, err := Recover(w2, lsn, coll2, t.Logf); err != nil {
 		t.Fatal(err)
 	}
-	if res.MaxAutoID != 10 {
-		t.Fatalf("MaxAutoID = %d, want 10", res.MaxAutoID)
-	}
+	diffStates(t, collState(coll2), oracle)
 	if got, want := indexIDs(t, idx2), oracleIDs(oracle); !equalStrings(got, want) {
-		t.Fatalf("recovered %d IDs, oracle %d:\n got %v\nwant %v", len(got), len(want), got, want)
+		t.Fatalf("recovered %d keys in the index, oracle %d:\n got %v\nwant %v", len(got), len(want), got, want)
 	}
 	if err := idx2.Validate(); err != nil {
 		t.Fatalf("recovered tree invalid: %v", err)
 	}
 
-	// A restarted server seeded from the recovery must not recycle IDs.
-	_, ts2 := newWALTestServer(t, w2, snap, res.MaxAutoID)
-	var resp struct {
-		IDs []string `json:"ids"`
+	// A server restarted over the recovered state continues the log.
+	last := w2.LastLSN()
+	s2, err := New(Config{Index: idx2, Collection: coll2, WAL: w2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	postJSON(t, ts2.URL+"/insert", map[string]any{"rect": rectSlice(geom.Square(0.5, 0.5, 0.01))}, &resp)
-	if len(resp.IDs) != 1 || resp.IDs[0] != "obj-11" {
-		t.Fatalf("post-recovery auto ID = %v, want [obj-11]", resp.IDs)
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	if res := setKey(t, ts2.URL, "post-recovery", geom.Square(0.5, 0.5, 0.01)); res.Size != len(oracle)+1 {
+		t.Fatalf("post-recovery set: %+v, want size %d", res, len(oracle)+1)
+	}
+	if got := w2.LastLSN(); got != last+1 {
+		t.Fatalf("post-recovery LSN = %d, want %d", got, last+1)
 	}
 }
 
@@ -220,13 +197,10 @@ func TestServerWALSnapshotRetiresSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	s, ts := newWALTestServer(t, w, filepath.Join(dir, "tree.gob"), 0)
+	s, ts := newWALTestServer(t, w, filepath.Join(dir, "tree.gob"))
 
 	for i := 0; i < 200; i++ {
-		postJSON(t, ts.URL+"/insert", map[string]any{
-			"id":   fmt.Sprintf("r-%03d", i),
-			"rect": rectSlice(geom.Square(float64(i)/200, 0.5, 0.01)),
-		}, nil)
+		setKey(t, ts.URL, fmt.Sprintf("r-%03d", i), geom.Square(float64(i)/200, 0.5, 0.01))
 	}
 	before := w.Metrics()
 	if before.Segments < 3 {
@@ -244,8 +218,8 @@ func TestServerWALSnapshotRetiresSegments(t *testing.T) {
 	}
 	// Everything the snapshot covers is gone from disk, yet restore +
 	// replay still reproduces the full state.
-	idx2, _, lsn := loadSingle(t, filepath.Join(dir, "tree.gob"))
-	if _, err := Recover(w, lsn, idx2, nil, nil); err != nil {
+	idx2, pairs, lsn := loadSingle(t, filepath.Join(dir, "tree.gob"))
+	if _, err := Recover(w, lsn, collection.Restore(idx2, pairs), nil); err != nil {
 		t.Fatal(err)
 	}
 	if idx2.Len() != 200 {
@@ -302,7 +276,7 @@ func TestServerWALShardedRecovery(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
-	// 4 concurrent clients × 50 inserts: exercises group commit and the
+	// 4 concurrent clients × 50 sets: exercises group commit and the
 	// shared walMu under -race.
 	var (
 		mu     sync.Mutex
@@ -317,7 +291,7 @@ func TestServerWALShardedRecovery(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				id := fmt.Sprintf("c%d-%02d", c, i)
 				r := geom.Square(rng.Float64(), rng.Float64(), 0.005)
-				postJSON(t, ts.URL+"/insert", map[string]any{"id": id, "rect": rectSlice(r)}, nil)
+				postJSON(t, ts.URL+"/set", map[string]any{"key": id, "rect": rectSlice(r)}, nil)
 				mu.Lock()
 				oracle[id] = r
 				mu.Unlock()
@@ -341,14 +315,14 @@ func TestServerWALShardedRecovery(t *testing.T) {
 	}
 	idx2 := rtree.NewConcurrent(tree)
 	var logged []string
-	res, err := Recover(w2, 0, idx2, nil, func(format string, args ...any) {
+	stats, err := Recover(w2, 0, collection.New(idx2), func(format string, args ...any) {
 		logged = append(logged, fmt.Sprintf(format, args...))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Records != 200 {
-		t.Fatalf("replayed %d records, want 200", res.Stats.Records)
+	if stats.Records != 200 {
+		t.Fatalf("replayed %d records, want 200", stats.Records)
 	}
 	if got, want := indexIDs(t, idx2), oracleIDs(oracle); !equalStrings(got, want) {
 		t.Fatalf("recovered %d IDs, want %d", len(got), len(want))
@@ -388,7 +362,7 @@ func TestConcurrentSnapshotsAndWrites(t *testing.T) {
 				}
 			}
 			snap := filepath.Join(dir, "tree.gob")
-			s, _ := newWALTestServer(t, w1, snap, 0)
+			s, _ := newWALTestServer(t, w1, snap)
 
 			// Each writer owns its keys — placed up front, then moved round and
 			// round until the snapshotters are done — so the last acknowledged
@@ -479,7 +453,7 @@ func TestConcurrentSnapshotsAndWrites(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer w2.Close()
-				if _, err := Recover(w2, lsn, idx2, coll2, t.Logf); err != nil {
+				if _, err := Recover(w2, lsn, coll2, t.Logf); err != nil {
 					t.Fatalf("recovery after concurrent snapshots: %v", err)
 				}
 			}
@@ -491,67 +465,55 @@ func TestConcurrentSnapshotsAndWrites(t *testing.T) {
 	}
 }
 
-// TestWALSameIDRaceReplayConsistent races inserts and deletes of a tiny
-// hot-ID set across goroutines, then crash-replays the log into a fresh
-// index. The per-ID stripe locks make WAL order equal apply order per
-// key, so whatever interleaving actually happened, replay must
-// reproduce the live index's exact contents — without the stripes, an
-// insert acknowledged after a racing delete could replay in the
-// opposite order and vanish.
+// TestWALSameIDRaceReplayConsistent races SETs and DELs of one key at a
+// time across goroutines, then crash-replays the log into a fresh
+// collection. The per-key idMu stripes make WAL order equal apply
+// order per key, so whatever interleaving actually happened, replay must
+// reproduce the live collection's exact contents — without the stripes,
+// a SET acknowledged after a racing DEL could replay in the opposite
+// order and vanish.
 func TestWALSameIDRaceReplayConsistent(t *testing.T) {
 	dir := t.TempDir()
-	walOpts := wal.Options{Dir: filepath.Join(dir, "wal"), SegmentBytes: 4096, Sync: wal.SyncNone, Epoch: 1}
+	// Group commit parks each SET and DEL between its append and its
+	// apply, which is the window the stripes must close.
+	walOpts := wal.Options{Dir: filepath.Join(dir, "wal"), SegmentBytes: 4096, Sync: wal.SyncInterval, Epoch: 1}
 	w1, err := wal.Open(walOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _ := newWALTestServer(t, w1, filepath.Join(dir, "tree.gob"), 0)
+	s, _ := newWALTestServer(t, w1, filepath.Join(dir, "tree.gob"))
 
-	// A fixed rect per hot ID so racing delete/insert pairs target the
-	// same (rect, id) entry.
-	const hotIDs = 4
-	rectFor := func(k int) geom.Rect { return geom.Square(float64(k)/10+0.05, 0.5, 0.01) }
-
-	var wg sync.WaitGroup
-	for c := 0; c < 8; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(1000 + c)))
-			for i := 0; i < 40; i++ {
-				k := rng.Intn(hotIDs)
-				id := fmt.Sprintf("hot-%d", k)
-				switch rng.Intn(3) {
-				case 0: // single insert
-					if err := s.appendInsert([]geom.Rect{rectFor(k)}, []any{id}, []string{id}, true); err != nil {
-						t.Errorf("insert: %v", err)
-						return
+	// Rounds of eight goroutines hitting one key at once: every round
+	// ends the key's history with a burst of concurrent ops, so an
+	// append order that differs from the apply order shows in the final
+	// state instead of being overwritten by a later, serial op.
+	const rounds, racers = 40, 8
+	for r := 0; r < rounds; r++ {
+		key := fmt.Sprintf("hot-%02d", r)
+		var wg sync.WaitGroup
+		for c := 0; c < racers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				if (r+c)%3 == 0 {
+					// DEL (misses are fine — they replay as no-ops)
+					if _, err := s.appendDelKey(key); err != nil {
+						t.Errorf("del: %v", err)
 					}
-				case 1: // batch touching two hot IDs
-					k2 := (k + 1) % hotIDs
-					id2 := fmt.Sprintf("hot-%d", k2)
-					rects := []geom.Rect{rectFor(k), rectFor(k2)}
-					if err := s.appendInsert(rects, []any{id, id2}, []string{id, id2}, false); err != nil {
-						t.Errorf("batch insert: %v", err)
-						return
-					}
-				default: // delete (misses are fine — they replay as no-ops)
-					if _, err := s.appendDelete(rectFor(k), id); err != nil {
-						t.Errorf("delete: %v", err)
-						return
-					}
+				} else if _, err := s.appendSet(key, geom.Square(float64(c)/10+0.05, float64(r)/50, 0.01)); err != nil {
+					t.Errorf("set: %v", err)
 				}
-			}
-		}(c)
+			}(c)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	if t.Failed() {
 		t.FailNow()
 	}
-	live := indexIDs(t, s.index)
+	live := collState(s.coll)
 
 	// Crash and replay the whole log (no snapshot taken) into a fresh
-	// tree: the multiset of surviving entries must match the live index.
+	// collection: it must match the live one key for key.
 	w2, err := wal.Open(walOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -562,11 +524,13 @@ func TestWALSameIDRaceReplayConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx2 := rtree.NewConcurrent(tree2)
-	if _, err := Recover(w2, 0, idx2, nil, nil); err != nil {
+	coll2 := collection.New(idx2)
+	if _, err := Recover(w2, 0, coll2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := indexIDs(t, idx2); !equalStrings(got, live) {
-		t.Fatalf("replay diverged from acknowledged state:\n live %v\nreplay %v", live, got)
+	diffStates(t, collState(coll2), live)
+	if got, want := indexIDs(t, idx2), indexIDs(t, s.index); !equalStrings(got, want) {
+		t.Fatalf("replay diverged from acknowledged index:\n live %v\nreplay %v", want, got)
 	}
 }
 

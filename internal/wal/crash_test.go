@@ -32,43 +32,38 @@ type walOp struct {
 	end int64
 }
 
+// genWorkload returns n deterministic keyed records: SETs of fresh keys,
+// SETs that move a live key, and DELs of a live key.
+func genWorkload(rng *rand.Rand, n int) []Record {
+	var recs []Record
+	var live []string
+	for i := 0; i < n; i++ {
+		var rec Record
+		switch p := rng.Float64(); {
+		case p < 0.65 || len(live) == 0:
+			rec = Record{Type: RecSet, Rect: randRect(rng), Key: fmt.Sprintf("k%d", i)}
+			live = append(live, rec.Key)
+		case p < 0.85:
+			j := rng.Intn(len(live))
+			rec = Record{Type: RecDelKey, Rect: randRect(rng), Key: live[j]}
+			live = append(live[:j], live[j+1:]...)
+		default:
+			rec = Record{Type: RecSet, Rect: randRect(rng), Key: live[rng.Intn(len(live))]}
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
 // buildWorkload appends a mixed random workload to a fresh WAL in dir
 // and returns the ops with their on-disk boundaries. Small segments
 // force several rotations.
 func buildWorkload(t *testing.T, dir string, n int, seed int64) []walOp {
 	t.Helper()
 	w := mustOpen(t, Options{Dir: dir, SegmentBytes: 512, Sync: SyncNone})
-	rng := rand.New(rand.NewSource(seed))
 	var ops []walOp
-	var live []Record
-	for i := 0; i < n; i++ {
-		var rec Record
-		switch p := rng.Float64(); {
-		case p < 0.65 || len(live) == 0:
-			rec = Record{Type: RecInsert, Rects: []geom.Rect{randRect(rng)}, IDs: []string{fmt.Sprintf("i%d", i)}}
-			live = append(live, rec)
-		case p < 0.85:
-			victim := live[rng.Intn(len(live))]
-			rec = Record{Type: RecDelete, Rects: victim.Rects[:1], IDs: victim.IDs[:1]}
-		default:
-			k := 2 + rng.Intn(6)
-			rec = Record{Type: RecInsertBatch}
-			for j := 0; j < k; j++ {
-				rec.Rects = append(rec.Rects, randRect(rng))
-				rec.IDs = append(rec.IDs, fmt.Sprintf("b%d-%d", i, j))
-			}
-			live = append(live, rec)
-		}
-		var err error
-		switch rec.Type {
-		case RecInsert:
-			_, err = w.AppendInsert(rec.Rects[0], rec.IDs[0])
-		case RecDelete:
-			_, err = w.AppendDelete(rec.Rects[0], rec.IDs[0])
-		case RecInsertBatch:
-			_, err = w.AppendInsertBatch(rec.Rects, rec.IDs)
-		}
-		if err != nil {
+	for _, rec := range genWorkload(rand.New(rand.NewSource(seed)), n) {
+		if _, err := appendRecord(w, rec); err != nil {
 			t.Fatal(err)
 		}
 		seg, end := w.segBoundary()
@@ -82,11 +77,11 @@ func buildWorkload(t *testing.T, dir string, n int, seed int64) []walOp {
 
 // oracleTree applies ops[:n] to a fresh tree.
 func oracleTree(ops []walOp, n int) *rtree.Tree {
-	tr := rtree.New(rtree.Options{})
+	k := newKeyedTree()
 	for _, op := range ops[:n] {
-		applyRecord(tr, op.rec)
+		k.apply(op.rec)
 	}
-	return tr
+	return k.tr
 }
 
 // survivors returns how many leading ops survive a fault that makes
@@ -131,8 +126,8 @@ func recoverAndCompare(t *testing.T, dir string, ops []walOp, want int, label st
 	if err != nil {
 		t.Fatalf("%s: Open: %v", label, err)
 	}
-	recovered := rtree.New(rtree.Options{})
-	stats, err := w.Replay(0, func(rec Record) error { applyRecord(recovered, rec); return nil })
+	recovered := newKeyedTree()
+	stats, err := w.Replay(0, func(rec Record) error { recovered.apply(rec); return nil })
 	if err != nil {
 		t.Fatalf("%s: Replay: %v", label, err)
 	}
@@ -140,16 +135,16 @@ func recoverAndCompare(t *testing.T, dir string, ops []walOp, want int, label st
 		t.Fatalf("%s: replayed %d records, oracle says %d survive", label, stats.Applied, want)
 	}
 	oracle := oracleTree(ops, want)
-	if !bytes.Equal(encodeBytes(t, recovered), encodeBytes(t, oracle)) {
+	if !bytes.Equal(encodeBytes(t, recovered.tr), encodeBytes(t, oracle)) {
 		t.Fatalf("%s: recovered tree differs from oracle (%d records)", label, want)
 	}
-	if err := recovered.Validate(); err != nil {
+	if err := recovered.tr.Validate(); err != nil {
 		t.Fatalf("%s: recovered tree invalid: %v", label, err)
 	}
 
 	// The truncated log must accept and persist new appends.
 	r := geom.NewRect(0.1, 0.1, 0.2, 0.2)
-	lsn, err := w.AppendInsert(r, "post-recovery")
+	lsn, err := w.AppendSet(r, "post-recovery")
 	if err != nil {
 		t.Fatalf("%s: append after recovery: %v", label, err)
 	}
@@ -352,38 +347,10 @@ func TestCrashRecoveryFailingWriter(t *testing.T) {
 		}
 
 		// Replay the same deterministic workload, stopping at the fault.
-		wrng := rand.New(rand.NewSource(51))
 		var ops []walOp
-		var live []Record
 		acked := 0
-		for i := 0; i < 80; i++ {
-			var rec Record
-			switch p := wrng.Float64(); {
-			case p < 0.65 || len(live) == 0:
-				rec = Record{Type: RecInsert, Rects: []geom.Rect{randRect(wrng)}, IDs: []string{fmt.Sprintf("i%d", i)}}
-				live = append(live, rec)
-			case p < 0.85:
-				victim := live[wrng.Intn(len(live))]
-				rec = Record{Type: RecDelete, Rects: victim.Rects[:1], IDs: victim.IDs[:1]}
-			default:
-				k := 2 + wrng.Intn(6)
-				rec = Record{Type: RecInsertBatch}
-				for j := 0; j < k; j++ {
-					rec.Rects = append(rec.Rects, randRect(wrng))
-					rec.IDs = append(rec.IDs, fmt.Sprintf("b%d-%d", i, j))
-				}
-				live = append(live, rec)
-			}
-			var aerr error
-			switch rec.Type {
-			case RecInsert:
-				_, aerr = w.AppendInsert(rec.Rects[0], rec.IDs[0])
-			case RecDelete:
-				_, aerr = w.AppendDelete(rec.Rects[0], rec.IDs[0])
-			case RecInsertBatch:
-				_, aerr = w.AppendInsertBatch(rec.Rects, rec.IDs)
-			}
-			if aerr != nil {
+		for _, rec := range genWorkload(rand.New(rand.NewSource(51)), 80) {
+			if _, err := appendRecord(w, rec); err != nil {
 				break // crash point: this and later ops were never acked
 			}
 			ops = append(ops, walOp{rec: rec})

@@ -10,12 +10,8 @@ type SegmentInfo struct {
 	FirstLSN  uint64 // from the file name
 	LastLSN   uint64 // last valid record (0 when none)
 	Records   int
-	Inserts   int
-	Deletes   int
-	Batches   int
 	Sets      int // keyed upserts (RecSet)
 	DelKeys   int // keyed deletes (RecDelKey)
-	Items     int // objects mutated by valid records (batch items counted)
 	SizeBytes int64
 	ValidLen  int64 // bytes a recovery would keep
 	// Torn is non-empty when the segment holds invalid bytes; recovery
@@ -28,7 +24,8 @@ type SegmentInfo struct {
 
 // Inspect scans every segment in dir without modifying anything and,
 // when fn is non-nil, streams each valid reachable record to it in LSN
-// order (the same records a recovery would replay from LSN 0).
+// order (the same records a recovery would replay from LSN 0). Like
+// Open, it fails on a checksum-valid record it cannot decode.
 func Inspect(dir string, fn func(Record) error) ([]SegmentInfo, error) {
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -42,12 +39,14 @@ func Inspect(dir string, fn func(Record) error) ([]SegmentInfo, error) {
 		if dead || (i > 0 && seg.firstLSN != lastLSN+1) {
 			dead = true
 			info.Unreachable = true
-			// Still scan for reporting, but never feed fn.
+			// Still scan for reporting, but never feed fn; recovery
+			// drops this segment unread, so a record it would refuse
+			// is reported, not returned.
 			res, err := scanSegment(seg.path, seg.firstLSN, nil)
-			if err != nil {
-				return infos, err
-			}
 			fillInfo(&info, res)
+			if err != nil {
+				info.Torn = err.Error()
+			}
 			infos = append(infos, info)
 			continue
 		}
@@ -72,10 +71,6 @@ func Inspect(dir string, fn func(Record) error) ([]SegmentInfo, error) {
 func fillInfo(info *SegmentInfo, res scanResult) {
 	info.LastLSN = res.lastLSN
 	info.Records = res.records
-	info.Items = res.items
-	info.Inserts = res.byType[RecInsert]
-	info.Deletes = res.byType[RecDelete]
-	info.Batches = res.byType[RecInsertBatch]
 	info.Sets = res.byType[RecSet]
 	info.DelKeys = res.byType[RecDelKey]
 	info.SizeBytes = res.sizeBytes

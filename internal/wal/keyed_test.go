@@ -8,7 +8,7 @@ import (
 
 // TestKeyedRecordRoundTrip pins the wire format of the keyed record
 // types: AppendSet/AppendDelKey survive close + reopen + replay with
-// type, rect and key intact, interleaved with the legacy types.
+// type, rect and key intact.
 func TestKeyedRecordRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(Options{Dir: dir, Sync: SyncAlways})
@@ -17,9 +17,6 @@ func TestKeyedRecordRoundTrip(t *testing.T) {
 	}
 	r1 := geom.NewRect(0.1, 0.2, 0.3, 0.4)
 	r2 := geom.NewRect(0.5, 0.5, 0.6, 0.7)
-	if _, err := w.AppendInsert(r1, "legacy"); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := w.AppendSet(r1, "truck-1"); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +47,6 @@ func TestKeyedRecordRoundTrip(t *testing.T) {
 		rect geom.Rect
 		id   string
 	}{
-		{RecInsert, r1, "legacy"},
 		{RecSet, r1, "truck-1"},
 		{RecSet, r2, "truck-1"},
 		{RecDelKey, r2, "truck-1"},
@@ -59,9 +55,9 @@ func TestKeyedRecordRoundTrip(t *testing.T) {
 		t.Fatalf("replayed %d records, want %d", len(got), len(want))
 	}
 	for i, rec := range got {
-		if rec.Type != want[i].typ || rec.Rects[0] != want[i].rect || rec.IDs[0] != want[i].id {
+		if rec.Type != want[i].typ || rec.Rect != want[i].rect || rec.Key != want[i].id {
 			t.Fatalf("record %d = {%v %v %q}, want {%v %v %q}",
-				i, rec.Type, rec.Rects[0], rec.IDs[0], want[i].typ, want[i].rect, want[i].id)
+				i, rec.Type, rec.Rect, rec.Key, want[i].typ, want[i].rect, want[i].id)
 		}
 	}
 
@@ -70,13 +66,12 @@ func TestKeyedRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sets, delKeys, inserts int
+	var sets, delKeys int
 	for _, info := range infos {
 		sets += info.Sets
 		delKeys += info.DelKeys
-		inserts += info.Inserts
 	}
-	if sets != 2 || delKeys != 1 || inserts != 1 {
-		t.Fatalf("inspect counted sets=%d delKeys=%d inserts=%d, want 2/1/1", sets, delKeys, inserts)
+	if sets != 2 || delKeys != 1 {
+		t.Fatalf("inspect counted sets=%d delKeys=%d, want 2/1", sets, delKeys)
 	}
 }

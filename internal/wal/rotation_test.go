@@ -6,9 +6,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"github.com/rlr-tree/rlrtree/internal/geom"
 	"github.com/rlr-tree/rlrtree/internal/rtree"
 )
 
@@ -35,7 +35,7 @@ func TestRotationNeverSplitsRecords(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		r := randRect(rng)
 		id := fmt.Sprintf("rot-%d", i)
-		if _, err := w.AppendInsert(r, id); err != nil {
+		if _, err := w.AppendSet(r, id); err != nil {
 			t.Fatal(err)
 		}
 		oracle.Insert(r, id)
@@ -88,15 +88,15 @@ func TestRotationNeverSplitsRecords(t *testing.T) {
 	// Replay across all segments rebuilds the oracle byte-identically.
 	w2 := mustOpen(t, Options{Dir: dir, SegmentBytes: segBytes})
 	defer w2.Close()
-	recovered := rtree.New(rtree.Options{})
-	stats, err := w2.Replay(0, func(rec Record) error { applyRecord(recovered, rec); return nil })
+	recovered := newKeyedTree()
+	stats, err := w2.Replay(0, func(rec Record) error { recovered.apply(rec); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.SegmentsScanned != len(segs) {
 		t.Fatalf("replay scanned %d segments, want %d", stats.SegmentsScanned, len(segs))
 	}
-	if !bytes.Equal(encodeBytes(t, recovered), encodeBytes(t, oracle)) {
+	if !bytes.Equal(encodeBytes(t, recovered.tr), encodeBytes(t, oracle)) {
 		t.Fatal("multi-segment replay differs from oracle")
 	}
 }
@@ -115,7 +115,7 @@ func TestEmptyFinalSegment(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				r := randRect(rng)
 				id := fmt.Sprintf("pre-%d", i)
-				if _, err := w.AppendInsert(r, id); err != nil {
+				if _, err := w.AppendSet(r, id); err != nil {
 					t.Fatal(err)
 				}
 				oracle.Insert(r, id)
@@ -140,7 +140,7 @@ func TestEmptyFinalSegment(t *testing.T) {
 			}
 			// New appends land in the recovered empty segment.
 			r := randRect(rng)
-			lsn, err := w2.AppendInsert(r, "post")
+			lsn, err := w2.AppendSet(r, "post")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,11 +154,11 @@ func TestEmptyFinalSegment(t *testing.T) {
 
 			w3 := mustOpen(t, Options{Dir: dir})
 			defer w3.Close()
-			recovered := rtree.New(rtree.Options{})
-			if _, err := w3.Replay(0, func(rec Record) error { applyRecord(recovered, rec); return nil }); err != nil {
+			recovered := newKeyedTree()
+			if _, err := w3.Replay(0, func(rec Record) error { recovered.apply(rec); return nil }); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(encodeBytes(t, recovered), encodeBytes(t, oracle)) {
+			if !bytes.Equal(encodeBytes(t, recovered.tr), encodeBytes(t, oracle)) {
 				t.Fatal("recovery through empty final segment diverged")
 			}
 		})
@@ -173,27 +173,21 @@ func TestOversizedRecordGetsOwnSegment(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	oracle := rtree.New(rtree.Options{})
 	r := randRect(rng)
-	if _, err := w.AppendInsert(r, "small"); err != nil {
+	if _, err := w.AppendSet(r, "small"); err != nil {
 		t.Fatal(err)
 	}
 	oracle.Insert(r, "small")
 
-	// A 20-item batch is far past 128 bytes: it must rotate into a
-	// fresh segment and occupy it alone-but-whole.
-	var rects []geom.Rect
-	var ids []string
-	for i := 0; i < 20; i++ {
-		rects = append(rects, randRect(rng))
-		ids = append(ids, fmt.Sprintf("big-%d", i))
-	}
-	if _, err := w.AppendInsertBatch(rects, ids); err != nil {
+	// A 600-byte key is far past 128 bytes: the record must rotate into
+	// a fresh segment and occupy it alone-but-whole.
+	big := strings.Repeat("big-", 150)
+	r = randRect(rng)
+	if _, err := w.AppendSet(r, big); err != nil {
 		t.Fatal(err)
 	}
-	for i := range rects {
-		oracle.Insert(rects[i], ids[i])
-	}
+	oracle.Insert(r, big)
 	r = randRect(rng)
-	if _, err := w.AppendInsert(r, "after"); err != nil {
+	if _, err := w.AppendSet(r, "after"); err != nil {
 		t.Fatal(err)
 	}
 	oracle.Insert(r, "after")
@@ -203,15 +197,15 @@ func TestOversizedRecordGetsOwnSegment(t *testing.T) {
 
 	w2 := mustOpen(t, Options{Dir: dir})
 	defer w2.Close()
-	recovered := rtree.New(rtree.Options{})
-	stats, err := w2.Replay(0, func(rec Record) error { applyRecord(recovered, rec); return nil })
+	recovered := newKeyedTree()
+	stats, err := w2.Replay(0, func(rec Record) error { recovered.apply(rec); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Records != 3 || stats.Items != 22 {
-		t.Fatalf("stats = %+v, want 3 records / 22 items", stats)
+	if stats.Records != 3 || stats.SegmentsScanned != 3 {
+		t.Fatalf("stats = %+v, want 3 records in 3 segments", stats)
 	}
-	if !bytes.Equal(encodeBytes(t, recovered), encodeBytes(t, oracle)) {
+	if !bytes.Equal(encodeBytes(t, recovered.tr), encodeBytes(t, oracle)) {
 		t.Fatal("oversized-record replay diverged")
 	}
 }

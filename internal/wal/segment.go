@@ -67,9 +67,8 @@ type segmentRef struct {
 
 // scanResult reports how far a segment scan got and why it stopped.
 type scanResult struct {
-	// records, items, byType tally the valid records seen.
+	// records and byType tally the valid records seen.
 	records int
-	items   int
 	byType  map[RecordType]int
 	// firstLSN/lastLSN bound the valid records (0/0 when none).
 	firstLSN uint64
@@ -80,8 +79,8 @@ type scanResult struct {
 	validLen int64
 	// sizeBytes is the file's physical size.
 	sizeBytes int64
-	// torn is non-empty when the scan stopped before physical EOF; it
-	// describes the first invalid byte run (torn tail or corruption).
+	// torn is non-empty when the scan stopped before physical EOF at a
+	// torn frame; it describes the first invalid byte run.
 	torn string
 }
 
@@ -90,11 +89,14 @@ func (r scanResult) clean() bool { return r.torn == "" }
 
 // scanSegment reads one segment sequentially, calling fn (when non-nil)
 // for each record that passes its checksum and structural decode, in
-// order. Scanning stops — without error — at the first invalid frame:
-// a short frame header, an implausible length, a checksum mismatch, a
-// payload that fails to decode, or a non-consecutive LSN. wantFirstLSN
-// is the LSN the first record must carry (from the file name); a
-// mismatch is treated as corruption at offset segHeaderSize.
+// order. Scanning stops without error at the first torn frame: a short
+// frame header, an implausible length, a short payload or a checksum
+// mismatch. A frame that passes its checksum but fails to decode, or
+// whose LSN does not follow its predecessor's (wantFirstLSN, from the
+// file name, for the first record), is an error instead: its bytes are
+// exactly what some writer meant to write — a record type or version
+// this build does not know, or a misplaced segment — and truncating it
+// would drop an acknowledged write.
 //
 // The caller decides what a non-clean result means: Open truncates the
 // tail, Inspect just reports it.
@@ -152,12 +154,12 @@ func scanSegment(path string, wantFirstLSN uint64, fn func(Record) error) (scanR
 		}
 		rec, err := decodePayload(payload)
 		if err != nil {
-			res.torn = fmt.Sprintf("undecodable record at offset %d: %v", res.validLen, err)
-			return res, nil
+			return res, fmt.Errorf("wal: %s offset %d: checksum-valid record LSN %d type byte %d does not decode (%v); refusing to truncate it",
+				path, res.validLen, rec.LSN, uint8(rec.Type), err)
 		}
 		if rec.LSN != nextLSN {
-			res.torn = fmt.Sprintf("LSN gap: record %d where %d expected", rec.LSN, nextLSN)
-			return res, nil
+			return res, fmt.Errorf("wal: %s offset %d: checksum-valid record LSN %d type byte %d where LSN %d was expected; refusing to truncate it",
+				path, res.validLen, rec.LSN, uint8(rec.Type), nextLSN)
 		}
 		if fn != nil {
 			if err := fn(rec); err != nil {
@@ -169,7 +171,6 @@ func scanSegment(path string, wantFirstLSN uint64, fn func(Record) error) (scanR
 		}
 		res.lastLSN = rec.LSN
 		res.records++
-		res.items += rec.Items()
 		res.byType[rec.Type]++
 		res.validLen += frameHeaderSize + int64(payloadLen)
 		nextLSN = rec.LSN + 1

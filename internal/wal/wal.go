@@ -162,10 +162,11 @@ type WAL struct {
 
 // Open opens (creating if necessary) the log in opts.Dir and recovers
 // its tail: segments are scanned in LSN order and the log is physically
-// truncated at the first invalid record — a torn tail from a crash
-// mid-append, or corruption — with every later segment removed. After
-// Open returns, the on-disk log is a clean record run and appends
-// continue at LastLSN()+1.
+// truncated at the first torn frame — one cut short by a crash
+// mid-append, or failing its checksum — with every later segment
+// removed. A checksum-valid record that does not decode fails Open and
+// leaves every file as it was. After Open returns, the on-disk log is a
+// clean record run and appends continue at LastLSN()+1.
 //
 // Open only prepares the log for writing; call Replay to feed the
 // surviving records to recovery.
@@ -323,31 +324,17 @@ func (w *WAL) startSegmentLocked(firstLSN uint64) error {
 	return nil
 }
 
-// AppendInsert logs a single-object insert and returns its LSN.
-func (w *WAL) AppendInsert(r geom.Rect, id string) (uint64, error) {
-	return w.append(Record{Type: RecInsert, Rects: []geom.Rect{r}, IDs: []string{id}})
-}
-
-// AppendDelete logs a single-object delete and returns its LSN.
-func (w *WAL) AppendDelete(r geom.Rect, id string) (uint64, error) {
-	return w.append(Record{Type: RecDelete, Rects: []geom.Rect{r}, IDs: []string{id}})
-}
-
-// AppendInsertBatch logs a batch insert as one record and returns its
-// LSN. rects and ids must have equal length.
-func (w *WAL) AppendInsertBatch(rects []geom.Rect, ids []string) (uint64, error) {
-	return w.append(Record{Type: RecInsertBatch, Rects: rects, IDs: ids})
-}
-
 // AppendSet logs a keyed upsert (collection SET) and returns its LSN.
+// A key longer than MaxKeyBytes is rejected.
 func (w *WAL) AppendSet(r geom.Rect, key string) (uint64, error) {
-	return w.append(Record{Type: RecSet, Rects: []geom.Rect{r}, IDs: []string{key}})
+	return w.append(Record{Type: RecSet, Rect: r, Key: key})
 }
 
 // AppendDelKey logs a keyed delete (collection DEL) and returns its LSN.
-// r is the position the key held at append time.
+// r is the position the key held at append time. A key longer than
+// MaxKeyBytes is rejected.
 func (w *WAL) AppendDelKey(r geom.Rect, key string) (uint64, error) {
-	return w.append(Record{Type: RecDelKey, Rects: []geom.Rect{r}, IDs: []string{key}})
+	return w.append(Record{Type: RecDelKey, Rect: r, Key: key})
 }
 
 // append assigns the next LSN, writes the frame to the active segment
@@ -602,8 +589,8 @@ func (w *WAL) LastLSN() uint64 {
 
 // Replay feeds every surviving record with LSN > afterLSN to apply, in
 // LSN order — the recovery path after restoring a snapshot that covers
-// afterLSN. Open has already truncated any torn tail, so Replay sees a
-// clean record run; Replay itself fails when the surviving segments do
+// afterLSN. Open has already truncated any torn tail and refused a log
+// holding an undecodable record, so Replay sees a clean record run; Replay itself fails when the surviving segments do
 // not reach back to afterLSN, so a snapshot/segment mismatch surfaces
 // at startup instead of being masked. Replay must run before concurrent appends begin
 // (recovery happens before serving starts); records appended by this
@@ -641,7 +628,6 @@ func (w *WAL) Replay(afterLSN uint64, apply func(Record) error) (ReplayStats, er
 				return nil
 			}
 			stats.Applied++
-			stats.Items += rec.Items()
 			return apply(rec)
 		})
 		if err != nil {
@@ -663,7 +649,6 @@ type ReplayStats struct {
 	Records         int // records scanned
 	Applied         int // records with LSN past the snapshot
 	Skipped         int // records the snapshot already covered
-	Items           int // objects mutated by applied records
 	SegmentsScanned int
 	SegmentsSkipped int
 	LastLSN         uint64

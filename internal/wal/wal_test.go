@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,17 +18,35 @@ import (
 	"github.com/rlr-tree/rlrtree/internal/rtree"
 )
 
-// applyRecord maps a WAL record onto a plain tree, the same mapping the
-// serving layer's recovery uses.
-func applyRecord(t *rtree.Tree, rec Record) {
-	switch rec.Type {
-	case RecInsert, RecInsertBatch:
-		for i := range rec.Rects {
-			t.Insert(rec.Rects[i], rec.IDs[i])
-		}
-	case RecDelete:
-		t.Delete(rec.Rects[0], rec.IDs[0])
+// keyedTree applies WAL records to a plain tree by key, the rule the
+// serving layer's recovery applies through the collection: SET moves
+// the key (its old rect out, the new one in), DEL removes it.
+type keyedTree struct {
+	tr  *rtree.Tree
+	pos map[string]geom.Rect
+}
+
+func newKeyedTree() *keyedTree {
+	return &keyedTree{tr: rtree.New(rtree.Options{}), pos: map[string]geom.Rect{}}
+}
+
+func (k *keyedTree) apply(rec Record) {
+	if old, ok := k.pos[rec.Key]; ok {
+		k.tr.Delete(old, rec.Key)
+		delete(k.pos, rec.Key)
 	}
+	if rec.Type == RecSet {
+		k.tr.Insert(rec.Rect, rec.Key)
+		k.pos[rec.Key] = rec.Rect
+	}
+}
+
+// appendRecord appends rec through the public API for its type.
+func appendRecord(w *WAL, rec Record) (uint64, error) {
+	if rec.Type == RecDelKey {
+		return w.AppendDelKey(rec.Rect, rec.Key)
+	}
+	return w.AppendSet(rec.Rect, rec.Key)
 }
 
 // encodeBytes returns the tree's canonical v2 snapshot encoding; two
@@ -70,29 +92,23 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		}
 	}
 
-	var inserted []geom.Rect
-	var insertedIDs []string
-	for i := 0; i < 40; i++ {
+	pos := make([]geom.Rect, 40)
+	key := func(i int) string { return fmt.Sprintf("one-%d", i) }
+	for i := range pos {
+		pos[i] = randRect(rng)
+		appendOp(w.AppendSet(pos[i], key(i)))
+		oracle.Insert(pos[i], key(i))
+	}
+	for i := 20; i < 35; i++ { // moves
 		r := randRect(rng)
-		id := fmt.Sprintf("one-%d", i)
-		appendOp(w.AppendInsert(r, id))
-		oracle.Insert(r, id)
-		inserted = append(inserted, r)
-		insertedIDs = append(insertedIDs, id)
-	}
-	var rects []geom.Rect
-	var ids []string
-	for i := 0; i < 25; i++ {
-		rects = append(rects, randRect(rng))
-		ids = append(ids, fmt.Sprintf("batch-%d", i))
-	}
-	appendOp(w.AppendInsertBatch(rects, ids))
-	for i := range rects {
-		oracle.Insert(rects[i], ids[i])
+		appendOp(w.AppendSet(r, key(i)))
+		oracle.Delete(pos[i], key(i))
+		oracle.Insert(r, key(i))
+		pos[i] = r
 	}
 	for i := 0; i < 10; i++ {
-		appendOp(w.AppendDelete(inserted[i], insertedIDs[i]))
-		oracle.Delete(inserted[i], insertedIDs[i])
+		appendOp(w.AppendDelKey(pos[i], key(i)))
+		oracle.Delete(pos[i], key(i))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -104,32 +120,29 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if got := w2.LastLSN(); got != wantLSN {
 		t.Fatalf("LastLSN after reopen = %d, want %d", got, wantLSN)
 	}
-	recovered := rtree.New(rtree.Options{})
+	recovered := newKeyedTree()
 	var epochs []uint32
 	stats, err := w2.Replay(0, func(rec Record) error {
 		epochs = append(epochs, rec.Epoch)
-		applyRecord(recovered, rec)
+		recovered.apply(rec)
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if stats.Applied != int(wantLSN) || stats.Skipped != 0 {
+	if stats.Applied != int(wantLSN) || stats.Skipped != 0 || wantLSN != 40+15+10 {
 		t.Fatalf("replay stats = %+v, want %d applied", stats, wantLSN)
-	}
-	if stats.Items != 40+25+10 {
-		t.Fatalf("replay items = %d, want %d", stats.Items, 40+25+10)
 	}
 	for _, e := range epochs {
 		if e != 7 {
 			t.Fatalf("record epoch = %d, want 7", e)
 		}
 	}
-	if !bytes.Equal(encodeBytes(t, recovered), encodeBytes(t, oracle)) {
+	if !bytes.Equal(encodeBytes(t, recovered.tr), encodeBytes(t, oracle)) {
 		t.Fatal("recovered tree differs from oracle")
 	}
-	if recovered.Len() != 40+25-10 {
-		t.Fatalf("recovered len = %d", recovered.Len())
+	if recovered.tr.Len() != 40-10 {
+		t.Fatalf("recovered len = %d", recovered.tr.Len())
 	}
 }
 
@@ -145,7 +158,7 @@ func TestReplayFromSnapshotLSN(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		r := randRect(rng)
 		id := fmt.Sprintf("o%d", i)
-		lsn, err := w.AppendInsert(r, id)
+		lsn, err := w.AppendSet(r, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,9 +170,9 @@ func TestReplayFromSnapshotLSN(t *testing.T) {
 		}
 	}
 
-	recovered := rtree.New(rtree.Options{})
+	recovered := newKeyedTree()
 	stats, err := w.Replay(snapLSN, func(rec Record) error {
-		applyRecord(recovered, rec)
+		recovered.apply(rec)
 		return nil
 	})
 	if err != nil {
@@ -168,7 +181,7 @@ func TestReplayFromSnapshotLSN(t *testing.T) {
 	if stats.Applied != 18 || stats.Skipped != 12 {
 		t.Fatalf("stats = %+v, want 18 applied / 12 skipped", stats)
 	}
-	if !bytes.Equal(encodeBytes(t, recovered), encodeBytes(t, tail)) {
+	if !bytes.Equal(encodeBytes(t, recovered.tr), encodeBytes(t, tail)) {
 		t.Fatal("replay-from-LSN applied the wrong record suffix")
 	}
 }
@@ -180,7 +193,7 @@ func TestRetire(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var lastLSN uint64
 	for i := 0; i < 50; i++ {
-		lsn, err := w.AppendInsert(randRect(rng), fmt.Sprintf("r%d", i))
+		lsn, err := w.AppendSet(randRect(rng), fmt.Sprintf("r%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +225,7 @@ func TestRetire(t *testing.T) {
 	}
 
 	// The log still appends and replays past the retirement point.
-	if _, err := w.AppendInsert(randRect(rng), "after-retire"); err != nil {
+	if _, err := w.AppendSet(randRect(rng), "after-retire"); err != nil {
 		t.Fatal(err)
 	}
 	var applied int
@@ -241,7 +254,7 @@ func TestSyncPolicies(t *testing.T) {
 			w := mustOpen(t, Options{Dir: dir, Sync: pol})
 			rng := rand.New(rand.NewSource(4))
 			for i := 0; i < 20; i++ {
-				if _, err := w.AppendInsert(randRect(rng), fmt.Sprintf("p%d", i)); err != nil {
+				if _, err := w.AppendSet(randRect(rng), fmt.Sprintf("p%d", i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -283,7 +296,7 @@ func TestConcurrentGroupCommit(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + g)))
 			for i := 0; i < perWorker; i++ {
-				if _, err := w.AppendInsert(randRect(rng), fmt.Sprintf("w%d-%d", g, i)); err != nil {
+				if _, err := w.AppendSet(randRect(rng), fmt.Sprintf("w%d-%d", g, i)); err != nil {
 					errs <- err
 					return
 				}
@@ -343,7 +356,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AppendInsert(geom.NewRect(0, 0, 1, 1), "x"); err == nil {
+	if _, err := w.AppendSet(geom.NewRect(0, 0, 1, 1), "x"); err == nil {
 		t.Fatal("append after Close succeeded")
 	}
 }
@@ -384,7 +397,7 @@ func TestReplayGapDetected(t *testing.T) {
 	w := mustOpen(t, Options{Dir: dir, SegmentBytes: 256})
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 30; i++ {
-		if _, err := w.AppendInsert(randRect(rng), fmt.Sprintf("g%d", i)); err != nil {
+		if _, err := w.AppendSet(randRect(rng), fmt.Sprintf("g%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -422,60 +435,37 @@ func TestReplayGapDetected(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchCountBound: a crafted record whose (CRC-valid) batch
-// count vastly exceeds what the payload could hold must be rejected by
-// the plausibility check — before the count drives slice allocation —
-// while a maximally dense legitimate batch (empty IDs, 33 bytes/item)
-// still decodes.
-func TestDecodeBatchCountBound(t *testing.T) {
-	header := func() []byte {
-		p := []byte{recordVersion, byte(RecInsertBatch)}
-		p = binary.LittleEndian.AppendUint64(p, 1) // LSN
-		p = binary.LittleEndian.AppendUint32(p, 0) // epoch
-		return p
+// TestRecordValidation: a key over MaxKeyBytes is rejected by both keyed
+// appends without consuming an LSN or poisoning the log, while a key of
+// exactly MaxKeyBytes — the largest payload a scan accepts — round-trips
+// through Open and Replay.
+func TestRecordValidation(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, Options{Dir: dir})
+	r := geom.NewRect(0, 0, 1, 1)
+	long := strings.Repeat("k", MaxKeyBytes+1)
+	if _, err := w.AppendSet(r, long); err == nil {
+		t.Fatal("SET with an over-long key accepted")
 	}
-	// Declared count ≈ len(body): passes the old c > len(body) check but
-	// needs 33× more bytes than the payload holds.
-	p := binary.AppendUvarint(header(), 1000)
-	p = append(p, make([]byte, 1000)...)
-	if _, err := decodePayload(p); err == nil {
-		t.Fatal("implausible batch count decoded")
+	if _, err := w.AppendDelKey(r, long); err == nil {
+		t.Fatal("DEL with an over-long key accepted")
 	}
-	// The worst case: count = 256Mi with a near-empty body.
-	p = binary.AppendUvarint(header(), 256<<20)
-	if _, err := decodePayload(p); err == nil {
-		t.Fatal("huge batch count decoded")
+	largest := long[:MaxKeyBytes]
+	lsn, err := w.AppendSet(r, largest)
+	if err != nil || lsn != 1 {
+		t.Fatalf("append after rejected keys: lsn=%d err=%v", lsn, err)
 	}
-
-	// Densest legal batch: every item is rect + empty ID = 33 bytes.
-	rects := make([]geom.Rect, 4)
-	ids := make([]string, 4)
-	for i := range rects {
-		rects[i] = geom.NewRect(float64(i), 0, float64(i)+1, 1)
-	}
-	frame, err := appendFrame(nil, Record{Type: RecInsertBatch, LSN: 1, Rects: rects, IDs: ids})
-	if err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := decodePayload(frame[frameHeaderSize:])
-	if err != nil {
-		t.Fatalf("dense batch rejected: %v", err)
+	w2 := mustOpen(t, Options{Dir: dir})
+	defer w2.Close()
+	var got []Record
+	if _, err := w2.Replay(0, func(rec Record) error { got = append(got, rec); return nil }); err != nil {
+		t.Fatal(err)
 	}
-	if len(rec.Rects) != 4 || rec.Type != RecInsertBatch {
-		t.Fatalf("decoded %d rects, type %v", len(rec.Rects), rec.Type)
-	}
-}
-
-func TestRecordValidation(t *testing.T) {
-	w := mustOpen(t, Options{Dir: t.TempDir()})
-	defer w.Close()
-	if _, err := w.AppendInsertBatch([]geom.Rect{geom.NewRect(0, 0, 1, 1)}, []string{"a", "b"}); err == nil {
-		t.Fatal("length-mismatched batch accepted")
-	}
-	// The failed validation must not consume an LSN or poison the log.
-	lsn, err := w.AppendInsert(geom.NewRect(0, 0, 1, 1), "ok")
-	if err != nil || lsn != 1 {
-		t.Fatalf("append after rejected batch: lsn=%d err=%v", lsn, err)
+	if len(got) != 1 || got[0].Key != largest || got[0].Rect != r {
+		t.Fatalf("replayed %d records; want the one %d-byte key", len(got), MaxKeyBytes)
 	}
 }
 
@@ -502,7 +492,7 @@ func appendWithin(t *testing.T, w *WAL, r geom.Rect, id string) uint64 {
 	}
 	ch := make(chan res, 1)
 	go func() {
-		lsn, err := w.AppendInsert(r, id)
+		lsn, err := w.AppendSet(r, id)
 		ch <- res{lsn, err}
 	}()
 	select {
@@ -570,7 +560,7 @@ func TestIntervalConcurrentAppendsDurable(t *testing.T) {
 	errs := make(chan error, appends)
 	for i := 0; i < appends; i++ {
 		go func(i int) {
-			_, err := w.AppendInsert(geom.Square(0.01*float64(i%50), 0.2, 0.005), fmt.Sprintf("c-%d", i))
+			_, err := w.AppendSet(geom.Square(0.01*float64(i%50), 0.2, 0.005), fmt.Sprintf("c-%d", i))
 			errs <- err
 		}(i)
 	}
@@ -602,7 +592,7 @@ func TestCloseReleasesCoveredWaiters(t *testing.T) {
 
 	appended := make(chan error, 1)
 	go func() {
-		_, err := w.AppendInsert(geom.Square(0.3, 0.3, 0.01), "a")
+		_, err := w.AppendSet(geom.Square(0.3, 0.3, 0.01), "a")
 		appended <- err
 	}()
 	waitUntil(t, "append to reach the segment", func() bool { return w.LastLSN() == 1 })
@@ -617,5 +607,131 @@ func TestCloseReleasesCoveredWaiters(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close did not release the group-commit waiter")
+	}
+}
+
+// rawFrame encodes a checksum-valid frame with an arbitrary version and
+// type byte around a one-key body — the shape of a record some other
+// writer produced.
+func rawFrame(version byte, typ RecordType, lsn uint64, key string) []byte {
+	p := []byte{version, byte(typ)}
+	p = binary.LittleEndian.AppendUint64(p, lsn)
+	p = binary.LittleEndian.AppendUint32(p, 0)
+	p = append(p, make([]byte, rectBytes)...)
+	p = binary.AppendUvarint(p, uint64(len(key)))
+	p = append(p, key...)
+	f := binary.LittleEndian.AppendUint32(nil, uint32(len(p)))
+	f = binary.LittleEndian.AppendUint32(f, crc32.Checksum(p, castagnoli))
+	return append(f, p...)
+}
+
+// TestUndecodableRecordRefused: a frame that passes its checksum but is
+// not a record this build can apply — a retired type, a newer version,
+// an out-of-sequence LSN — holds an acknowledged write. Open, Replay and
+// Inspect must fail naming its LSN and type byte, and leave the log
+// byte-identical instead of truncating it as a torn tail.
+func TestUndecodableRecordRefused(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		version byte
+		typ     RecordType
+		lsn     uint64
+	}{
+		{"retired-insert-type", recordVersion, 1, 2},
+		{"newer-version", recordVersion + 1, RecSet, 2},
+		{"lsn-out-of-sequence", recordVersion, RecSet, 7},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w := mustOpen(t, Options{Dir: dir})
+			if _, err := w.AppendSet(geom.NewRect(0, 0, 1, 1), "k0"); err != nil {
+				t.Fatal(err)
+			}
+			seg := filepath.Join(dir, segmentName(1))
+			f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(rawFrame(c.version, c.typ, c.lsn, "k1")); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantMsg := fmt.Sprintf("LSN %d type byte %d", c.lsn, uint8(c.typ))
+			check := func(op string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), wantMsg) {
+					t.Fatalf("%s: err = %v, want one naming %q", op, err, wantMsg)
+				}
+			}
+
+			_, err = w.Replay(0, func(Record) error { return nil })
+			check("Replay", err)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, err = Open(Options{Dir: dir})
+			check("Open", err)
+			_, err = Inspect(dir, nil)
+			check("Inspect", err)
+			after, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatalf("log changed from %d to %d bytes", len(before), len(after))
+			}
+		})
+	}
+}
+
+// TestCorruptLengthBoundedAlloc: a torn frame header whose length field
+// claims 200 MiB must be truncated without allocating for the claim —
+// the payload bound derives from MaxKeyBytes, not from the largest
+// request body.
+func TestCorruptLengthBoundedAlloc(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, Options{Dir: dir})
+	if _, err := w.AppendSet(geom.NewRect(0, 0, 1, 1), "k0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tail := binary.LittleEndian.AppendUint32(nil, 200<<20)
+	tail = append(tail, 0, 0, 0, 0, 1, 4, 0, 0) // CRC, then a short payload
+	f, err := os.OpenFile(filepath.Join(dir, segmentName(1)), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(tail); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if _, err := w2.Replay(0, func(Record) error { n++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	w2.Close()
+	if n != 1 {
+		t.Fatalf("replayed %d records, want the 1 before the torn tail", n)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("Open+Replay allocated %d bytes for a torn 12-byte tail", grew)
 	}
 }

@@ -299,11 +299,11 @@ func WarmPool(t *Tree, pool *BufferPool) { pager.Warm(t, pool) }
 // embedders who want crash recovery around their own mutation loop. The
 // serving layer (cmd/rlr-serve -wal-dir) uses the same machinery.
 type (
-	// WAL is a segmented, CRC-checksummed write-ahead log of spatial
-	// mutations. Append each Insert/Delete before applying it; after a
-	// crash, Replay past your newest snapshot's LSN reproduces the
-	// acknowledged state (minus writes the fsync policy had not yet made
-	// durable). Safe for concurrent appenders.
+	// WAL is a segmented, CRC-checksummed write-ahead log of keyed
+	// mutations. Append each Set/Del before applying it; after a crash,
+	// Replay past your newest snapshot's LSN reproduces the acknowledged
+	// state (minus writes the fsync policy had not yet made durable).
+	// Safe for concurrent appenders.
 	WAL = wal.WAL
 	// WALOptions configures OpenWAL: directory, segment rotation size,
 	// fsync policy, routing epoch.
@@ -348,7 +348,7 @@ func ResumeCombined(prev *Policy, data []Rect, cfg TrainConfig) (*Policy, *Train
 // through stable cursors. This is the layer that makes moving-object
 // workloads expressible — "object X moved" instead of delete-rect +
 // insert-rect — and it is what the serving layer's /set, /get, /del,
-// /within and paged /search, /knn endpoints speak.
+// /search, /within and /knn endpoints speak.
 type (
 	// Collection is the keyed layer over a Spatial index. All methods are
 	// safe for concurrent use; Set/Del serialize per key.
