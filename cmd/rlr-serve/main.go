@@ -4,11 +4,11 @@
 //
 // Usage:
 //
-//	rlr-serve -addr :8080 -snapshot tree.gob -snapshot-every 30s
-//	rlr-serve -addr :8080 -policy policy.json -snapshot tree.gob
+//	rlr-serve -addr :8080 -snapshot index.snap -snapshot-every 30s
+//	rlr-serve -addr :8080 -policy policy.json -snapshot index.snap
 //	rlr-serve -addr :8080 -policy distilled.json -policy-kind table
 //	rlr-serve -addr :8080 -shards 4
-//	rlr-serve -addr :8080 -snapshot tree.gob -wal-dir ./wal -wal-fsync always
+//	rlr-serve -addr :8080 -snapshot index.snap -wal-dir ./wal -wal-fsync always
 //
 // With -policy the insert path decides through a hot-swappable policy
 // engine; -policy-kind picks the inference backend (auto, mlp, table —
@@ -25,21 +25,22 @@
 // "interval" batches fsyncs a few milliseconds apart (group commit),
 // "none" leaves flushing to the OS.
 //
-// With -shards N (N > 1) the server fronts a shard.ShardedTree — N
-// independent trees behind a Z-order spatial router with per-shard
-// locks, so concurrent inserters stop serializing on one write lock.
-// Queries prune shards through per-shard bounds summaries (selective
-// queries probe ~1–2 shards instead of all N), and -rebalance-every
-// enables background hot-cell migration that adapts the cell→shard
-// assignment to the observed workload. /stats then carries a per-shard
-// breakdown plus the fan-out counters, and the snapshot records that it
-// holds a sharded index (a -shards server refuses a single-tree
-// snapshot file, and vice versa, with a "snapshot kind mismatch" error).
+// The served index is always a shard.ShardedTree: -shards N independent
+// trees behind a Z-order spatial router with per-shard locks, so
+// concurrent writers stop serializing on one write lock (-shards 1 is
+// one tree behind the same router). Queries prune shards through
+// per-shard bounds summaries (selective queries probe ~1–2 shards
+// instead of all N), and -rebalance-every enables background hot-cell
+// migration that adapts the cell→shard assignment to the observed
+// workload. /stats carries a per-shard breakdown plus the fan-out
+// counters.
 //
 // On startup the server restores the snapshot file when it exists, so a
-// restart resumes with the indexed data intact; on SIGINT/SIGTERM it
-// drains in-flight requests and writes a final snapshot. GET /debug/vars
-// exposes the standard expvar page including the server's metrics.
+// restart resumes with the indexed data intact. The file's shard count,
+// grid and cell assignment win over -shards, which shapes a fresh index
+// only. On SIGINT/SIGTERM it drains in-flight requests and writes a
+// final snapshot. GET /debug/vars exposes the standard expvar page
+// including the server's metrics.
 package main
 
 import (
@@ -59,7 +60,6 @@ import (
 	"github.com/rlr-tree/rlrtree/internal/cliutil"
 	"github.com/rlr-tree/rlrtree/internal/collection"
 	"github.com/rlr-tree/rlrtree/internal/core"
-	"github.com/rlr-tree/rlrtree/internal/rtree"
 	"github.com/rlr-tree/rlrtree/internal/server"
 	"github.com/rlr-tree/rlrtree/internal/shard"
 	"github.com/rlr-tree/rlrtree/internal/wal"
@@ -73,7 +73,7 @@ func main() {
 		indexKind   = flag.String("index", "rtree", "heuristic index when no policy: rtree, rstar, rrstar")
 		maxE        = flag.Int("max-entries", 50, "node capacity M")
 		minE        = flag.Int("min-entries", 20, "minimum node fill m")
-		shards      = flag.Int("shards", 1, "independent index shards (>1 enables the Z-order sharded tree)")
+		shards      = flag.Int("shards", 1, "independent index shards of a fresh index (a restored snapshot keeps its own count)")
 		snapPath    = flag.String("snapshot", "", "snapshot file (restore on start, write on shutdown)")
 		snapEvery   = flag.Duration("snapshot-every", 0, "background snapshot interval (0 disables)")
 		walDir      = flag.String("wal-dir", "", "write-ahead log directory (empty disables durability logging)")
@@ -83,7 +83,7 @@ func main() {
 		rebalMax    = flag.Int("rebalance-max-cells", server.DefaultRebalanceMaxCells, "maximum cells migrated per rebalance tick")
 		reqTimeout  = flag.Duration("timeout", server.DefaultRequestTimeout, "per-request timeout")
 		maxBody     = flag.Int64("max-body", server.DefaultMaxBodyBytes, "maximum request body bytes")
-		maxResults  = flag.Int("max-results", server.DefaultMaxResults, "maximum ids per /search response")
+		maxResults  = flag.Int("max-results", server.DefaultMaxResults, "maximum rows per query page (also caps /knn k)")
 		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (CPU, heap, allocs profiles)")
 		showVersion = flag.Bool("version", false, "print version and exit")
 	)
@@ -105,20 +105,18 @@ func main() {
 	if hot != nil {
 		logger.Printf("policy: %s backend (choose=%s split=%s)", hot.Kind(), hot.Stats().ChooseBackend, hot.Stats().SplitBackend)
 	}
-	// One restore path for both index kinds: the snapshot's header says
-	// which it holds, and LoadSnapshot refuses a file whose kind
-	// disagrees with -shards.
-	sopts := shard.Options{Shards: *shards, Tree: opts}
 	var (
-		index      server.Index
-		snapLSN    uint64 // WAL LSN the restored snapshot covers (0: replay all)
-		keyedPairs []collection.KeyRect
+		index   *shard.ShardedTree
+		snapLSN uint64 // WAL LSN the restored snapshot covers (0: replay all)
 	)
 	if *snapPath != "" {
-		index, keyedPairs, snapLSN, err = server.LoadSnapshot(*snapPath, sopts)
+		index, snapLSN, err = server.LoadSnapshot(*snapPath, opts)
 		switch {
 		case err == nil:
-			logger.Printf("restored %d objects (%d keyed) from %s", index.Len(), len(keyedPairs), *snapPath)
+			logger.Printf("restored %d objects in %d shards from %s", index.Len(), index.NumShards(), *snapPath)
+			if index.NumShards() != *shards {
+				logger.Printf("-shards %d ignored: the snapshot holds %d shards", *shards, index.NumShards())
+			}
 		case errors.Is(err, os.ErrNotExist):
 			logger.Printf("no snapshot at %s, starting empty", *snapPath)
 		default:
@@ -126,25 +124,20 @@ func main() {
 		}
 	}
 	if index == nil {
-		if *shards > 1 {
-			index, err = shard.New(sopts)
-		} else {
-			var tree *rtree.Tree
-			if tree, err = rtree.NewChecked(opts); err == nil {
-				index = rtree.NewConcurrent(tree)
-			}
-		}
-		if err != nil {
+		if index, err = shard.New(shard.Options{Shards: *shards, Tree: opts}); err != nil {
 			logger.Fatal(err)
 		}
 	}
-	if st, ok := index.(*shard.ShardedTree); ok {
-		name = fmt.Sprintf("%s[%d shards]", name, st.NumShards())
+	if index.NumShards() > 1 {
+		name = fmt.Sprintf("%s[%d shards]", name, index.NumShards())
 	}
 
-	// The keyed layer restores from the snapshot's key map over the
-	// restored index, then WAL replay applies keyed records through it.
-	coll := collection.Restore(index, keyedPairs)
+	// The keyed layer's key map is rebuilt from the index's leaves, then
+	// WAL replay applies keyed records through it.
+	coll, err := collection.Restore(index)
+	if err != nil {
+		logger.Fatal(err)
+	}
 
 	// The WAL opens after the snapshot restore (its recovery needs the
 	// snapshot's LSN) and before the server exists: replay must finish
@@ -159,7 +152,7 @@ func main() {
 			Dir:          *walDir,
 			SegmentBytes: *walSegBytes,
 			Sync:         policy,
-			Epoch:        uint32(*shards),
+			Epoch:        uint32(index.NumShards()),
 		})
 		if err != nil {
 			logger.Fatal(err)

@@ -1,7 +1,7 @@
 // Keyed objects: the live-update layer. Objects are addressed by string
 // key — Set("bus-17", pos) moves the object, Get/Del find and remove it
 // by key — instead of by (rect, id) pairs the caller must remember. The
-// collection keeps a B+-tree key map and a spatial index consistent: a
+// collection keeps a key map and a spatial index consistent: a
 // Set on an existing key is delete-old + reinsert under per-key locks,
 // so "the object moved" is one call, not two that can half-apply.
 //

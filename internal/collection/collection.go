@@ -1,9 +1,9 @@
 // Package collection implements the keyed object layer of the serving
 // stack: a tile38-style collection where every object has a string key,
 // SET replaces the key's previous position (delete-old + reinsert into
-// the spatial index), GET and DEL address objects by key through a
-// B+-tree key map, and the range/KNN queries page through stable
-// cursors with limits.
+// the spatial index), GET and DEL address objects by key through a key
+// map, and the range/KNN queries page through stable cursors with
+// limits.
 //
 // This is the layer that makes live-update workloads — fleet tracking,
 // geofencing, millions of points moving at high churn — expressible:
@@ -13,6 +13,10 @@
 // (rtree.ConcurrentTree and shard.ShardedTree both do), so the keyed
 // layer inherits whatever concurrency, sharding and pruning the index
 // underneath provides.
+//
+// The key map is a Go map from key to rect, and it is derived state: the
+// index stores each object's key as its payload, so Restore rebuilds the
+// map from the index's leaves and a snapshot holds only the index.
 //
 // Consistency model: Set and Del serialize per key (striped locks), so
 // concurrent SETs of one key apply in some serial order and the final
@@ -26,12 +30,12 @@ package collection
 
 import (
 	"fmt"
-	"hash/fnv"
+	"hash/maphash"
+	"maps"
 	"math"
 	"sync"
 	"sync/atomic"
 
-	"github.com/rlr-tree/rlrtree/internal/btree"
 	"github.com/rlr-tree/rlrtree/internal/geom"
 	"github.com/rlr-tree/rlrtree/internal/rtree"
 )
@@ -53,13 +57,8 @@ type Spatial interface {
 // on the same key while unrelated keys stay fully concurrent.
 const keyStripes = 64
 
-// entry is one keyed object in the key map. The btree stores *entry
-// values under the key's hash; collisions share a hash slot and are
-// disambiguated by the key string.
-type entry struct {
-	key  string
-	rect geom.Rect
-}
+// stripeSeed makes the stripe hash stable for the process lifetime.
+var stripeSeed = maphash.MakeSeed()
 
 // SetResult reports what a Set did.
 type SetResult struct {
@@ -95,11 +94,10 @@ type Collection struct {
 	// stripes serialize Set/Del per key across their lookup + index
 	// delete + index insert + key-map update sequence.
 	stripes [keyStripes]sync.Mutex
-	// kmu guards the key map btree (not safe for concurrent mutation)
-	// and entry rects. Held only around btree operations and entry
-	// reads/writes, never across index calls.
+	// kmu guards the key map. Held only around map reads and writes,
+	// never across index calls.
 	kmu  sync.RWMutex
-	keys *btree.Tree
+	keys map[string]geom.Rect
 
 	objects atomic.Int64
 	sets    atomic.Uint64
@@ -109,69 +107,43 @@ type Collection struct {
 
 // New returns an empty collection over ix.
 func New(ix Spatial) *Collection {
-	return &Collection{ix: ix, keys: btree.New(0)}
+	return &Collection{ix: ix, keys: make(map[string]geom.Rect)}
 }
 
-// KeyRect is one (key, position) pair of the key map, the unit a
-// snapshot persists it in.
-type KeyRect struct {
-	Key  string
-	Rect geom.Rect
-}
-
-// Pairs captures the key map in key-hash order, the input to Restore.
-// Consistent with the index only if no mutations run concurrently — the
-// server captures both under its snapshot lock, which excludes every
-// write.
-func (c *Collection) Pairs() []KeyRect {
-	pairs := make([]KeyRect, 0, c.Len())
-	c.Each(func(key string, r geom.Rect) bool {
-		pairs = append(pairs, KeyRect{Key: key, Rect: r})
-		return true
+// Restore returns a collection over ix whose key map is rebuilt from the
+// index's own leaves — the index restored from a snapshot already holds
+// every object under its key, so the key map is derived state, never
+// stored twice. Nothing is inserted into ix; the walk is one
+// whole-plane query of ix and counts in its query statistics like any
+// other. It fails when a leaf payload is not a string key or a key is
+// indexed twice.
+func Restore(ix Spatial) (*Collection, error) {
+	c := &Collection{ix: ix, keys: make(map[string]geom.Rect, ix.Len())}
+	var err error
+	ix.SearchEach(everything, func(r geom.Rect, d any) {
+		if err != nil {
+			return
+		}
+		key, ok := d.(string)
+		if !ok {
+			err = fmt.Errorf("collection: restore: index object at %v has a %T payload, not a key", r, d)
+			return
+		}
+		if prev, dup := c.keys[key]; dup {
+			err = fmt.Errorf("collection: restore: key %q indexed twice, at %v and %v", key, prev, r)
+			return
+		}
+		c.keys[key] = r
 	})
-	return pairs
-}
-
-// Restore returns a collection over ix whose key map is pre-filled with
-// pairs — the key map of a snapshot — WITHOUT inserting anything
-// into ix, whose snapshot restore already holds the objects. The two
-// halves must come from the same snapshot or Validate will fail.
-func Restore(ix Spatial, pairs []KeyRect) *Collection {
-	c := New(ix)
-	for _, p := range pairs {
-		c.keys.Insert(hashKey(p.Key), &entry{key: p.Key, rect: p.Rect})
+	if err != nil {
+		return nil, err
 	}
-	c.objects.Store(int64(len(pairs)))
-	return c
-}
-
-// hashKey maps a key string onto the btree's uint64 key space. FNV-1a
-// keeps the mapping deterministic across processes (nothing persisted
-// depends on it — snapshots store key strings — but determinism makes
-// test failures reproducible).
-func hashKey(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return h.Sum64()
+	c.objects.Store(int64(len(c.keys)))
+	return c, nil
 }
 
 func (c *Collection) stripe(key string) *sync.Mutex {
-	return &c.stripes[hashKey(key)%keyStripes]
-}
-
-// lookup returns the live entry for key, or nil. Caller must hold kmu
-// (either half).
-func (c *Collection) lookupLocked(key string) *entry {
-	h := hashKey(key)
-	var found *entry
-	c.keys.ScanRange(h, h, func(_ uint64, v any) bool {
-		if e := v.(*entry); e.key == key {
-			found = e
-			return false
-		}
-		return true
-	})
-	return found
+	return &c.stripes[maphash.String(stripeSeed, key)%keyStripes]
 }
 
 // Set stores key at r, replacing its previous position when the key
@@ -183,18 +155,14 @@ func (c *Collection) Set(key string, r geom.Rect) SetResult {
 	defer mu.Unlock()
 
 	c.kmu.RLock()
-	e := c.lookupLocked(key)
-	var prev geom.Rect
-	if e != nil {
-		prev = e.rect
-	}
+	prev, ok := c.keys[key]
 	c.kmu.RUnlock()
 
-	if e != nil {
+	if ok {
 		c.ix.Delete(prev, key)
 		c.ix.Insert(r, key)
 		c.kmu.Lock()
-		e.rect = r
+		c.keys[key] = r
 		c.kmu.Unlock()
 		c.sets.Add(1)
 		c.moves.Add(1)
@@ -202,7 +170,7 @@ func (c *Collection) Set(key string, r geom.Rect) SetResult {
 	}
 	c.ix.Insert(r, key)
 	c.kmu.Lock()
-	c.keys.Insert(hashKey(key), &entry{key: key, rect: r})
+	c.keys[key] = r
 	c.kmu.Unlock()
 	c.objects.Add(1)
 	c.sets.Add(1)
@@ -213,10 +181,8 @@ func (c *Collection) Set(key string, r geom.Rect) SetResult {
 func (c *Collection) Get(key string) (geom.Rect, bool) {
 	c.kmu.RLock()
 	defer c.kmu.RUnlock()
-	if e := c.lookupLocked(key); e != nil {
-		return e.rect, true
-	}
-	return geom.Rect{}, false
+	r, ok := c.keys[key]
+	return r, ok
 }
 
 // Del removes key and its object from the spatial index, reporting
@@ -228,18 +194,18 @@ func (c *Collection) Del(key string) (geom.Rect, bool) {
 	defer mu.Unlock()
 
 	c.kmu.RLock()
-	e := c.lookupLocked(key)
+	r, ok := c.keys[key]
 	c.kmu.RUnlock()
-	if e == nil {
+	if !ok {
 		return geom.Rect{}, false
 	}
-	c.ix.Delete(e.rect, key)
+	c.ix.Delete(r, key)
 	c.kmu.Lock()
-	c.keys.Delete(hashKey(key), e)
+	delete(c.keys, key)
 	c.kmu.Unlock()
 	c.objects.Add(-1)
 	c.dels.Add(1)
-	return e.rect, true
+	return r, true
 }
 
 // Len returns the number of keys stored.
@@ -255,16 +221,17 @@ func (c *Collection) Stats() Stats {
 	}
 }
 
-// Each streams every (key, rect) pair in key-hash order. fn returning
-// false stops the walk. The key map lock is held for the duration; fn
-// must not call collection mutators.
+// Each streams every (key, rect) pair in an unspecified order. fn
+// returning false stops the walk. The key map lock is held for the
+// duration; fn must not call collection mutators.
 func (c *Collection) Each(fn func(key string, r geom.Rect) bool) {
 	c.kmu.RLock()
 	defer c.kmu.RUnlock()
-	c.keys.ScanRange(0, ^uint64(0), func(_ uint64, v any) bool {
-		e := v.(*entry)
-		return fn(e.key, e.rect)
-	})
+	for key, r := range c.keys {
+		if !fn(key, r) {
+			return
+		}
+	}
 }
 
 // everything is the query window covering any representable object.
@@ -289,19 +256,10 @@ func (c *Collection) Validate() error {
 		}
 	}
 	c.kmu.RLock()
-	want := make(map[string]geom.Rect, c.keys.Len())
-	c.keys.ScanRange(0, ^uint64(0), func(_ uint64, v any) bool {
-		e := v.(*entry)
-		want[e.key] = e.rect
-		return true
-	})
-	mapLen := c.keys.Len()
+	want := maps.Clone(c.keys)
 	c.kmu.RUnlock()
-	if mapLen != len(want) {
-		return fmt.Errorf("collection: key map holds %d entries but only %d distinct keys", mapLen, len(want))
-	}
-	if got := int(c.objects.Load()); got != mapLen {
-		return fmt.Errorf("collection: objects counter %d != key map size %d", got, mapLen)
+	if got := int(c.objects.Load()); got != len(want) {
+		return fmt.Errorf("collection: objects counter %d != key map size %d", got, len(want))
 	}
 
 	seen := make(map[string]int, len(want))

@@ -56,8 +56,8 @@ func TestSetGetDel(t *testing.T) {
 	}
 }
 
-// TestHashCollisions forces distinct keys into the same stripe and hash
-// slot path by volume: 5000 keys through a 64-stripe lock set guarantees
+// TestManyKeysValidate forces distinct keys into the same stripe by
+// volume: 5000 keys through a 64-stripe lock set guarantees
 // stripe sharing, and Validate proves per-key isolation regardless.
 func TestManyKeysValidate(t *testing.T) {
 	c := New(newTestIndex())
@@ -82,35 +82,60 @@ func TestManyKeysValidate(t *testing.T) {
 	}
 }
 
-// TestPairsRestoreRoundTrip proves Pairs + a clone of the index are what
-// Restore needs: the rebuilt collection validates against the cloned
-// index and answers every Get like the original. Pairs is a capture — a
-// later Set does not leak into it.
-func TestPairsRestoreRoundTrip(t *testing.T) {
+// TestRestoreFromIndexRoundTrip proves a clone of the index is all
+// Restore needs: the key map rebuilt from the clone's leaves validates
+// against it and answers every Get like the original. The clone is a
+// capture — a later Set does not leak into it.
+func TestRestoreFromIndexRoundTrip(t *testing.T) {
 	ix := newTestIndex().(*rtree.ConcurrentTree)
 	c := New(ix)
 	for i := 0; i < 500; i++ {
 		x := float64(i)
 		c.Set(fmt.Sprintf("obj-%03d", i), geom.NewRect(x, x, x+1, x+1))
 	}
-	pairs, clone := c.Pairs(), ix.Snapshot()
+	c.Del("obj-007")
+	c.Set("obj-011", geom.NewRect(0.5, 0.5, 0.75, 0.75))
+	clone := ix.Snapshot()
 	c.Set("after", geom.NewRect(2, 2, 3, 3))
-	if len(pairs) != 500 {
-		t.Fatalf("captured %d pairs, want 500", len(pairs))
+	c2, err := Restore(rtree.NewConcurrent(clone))
+	if err != nil {
+		t.Fatal(err)
 	}
-	c2 := Restore(rtree.NewConcurrent(clone), pairs)
-	if c2.Len() != 500 {
-		t.Fatalf("restored Len = %d, want 500", c2.Len())
+	if c2.Len() != 499 {
+		t.Fatalf("restored Len = %d, want 499", c2.Len())
 	}
 	if err := c2.Validate(); err != nil {
 		t.Fatalf("restored collection invalid: %v", err)
 	}
-	for i := 0; i < 500; i += 37 {
-		key := fmt.Sprintf("obj-%03d", i)
-		want, _ := c.Get(key)
-		got, ok := c2.Get(key)
-		if !ok || got != want {
-			t.Fatalf("restored Get(%s) = %v %v, want %v true", key, got, ok, want)
+	c2.Each(func(key string, got geom.Rect) bool {
+		if want, ok := c.Get(key); !ok || got != want {
+			t.Fatalf("restored %s at %v, original %v %v", key, got, want, ok)
+		}
+		return true
+	})
+	if _, ok := c2.Get("after"); ok {
+		t.Fatal("a Set after the capture leaked into the restored collection")
+	}
+}
+
+// TestRestoreRejectsForeignIndex: an index whose leaves are not one
+// string key per object cannot be a collection's — Restore refuses it
+// instead of building a key map that disagrees with the index.
+func TestRestoreRejectsForeignIndex(t *testing.T) {
+	for name, fill := range map[string]func(ix Spatial){
+		"int payload": func(ix Spatial) {
+			ix.Insert(geom.NewRect(0, 0, 1, 1), "a")
+			ix.Insert(geom.NewRect(2, 2, 3, 3), 7)
+		},
+		"key at two rects": func(ix Spatial) {
+			ix.Insert(geom.NewRect(0, 0, 1, 1), "a")
+			ix.Insert(geom.NewRect(2, 2, 3, 3), "a")
+		},
+	} {
+		ix := newTestIndex()
+		fill(ix)
+		if c, err := Restore(ix); err == nil || c != nil {
+			t.Errorf("%s: Restore = %v, %v; want an error", name, c, err)
 		}
 	}
 }

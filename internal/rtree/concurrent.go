@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -188,19 +187,6 @@ func (c *ConcurrentTree) Validate() error {
 	e := c.pin()
 	defer e.unpin()
 	return e.tree.Validate()
-}
-
-// PrepareSnapshot is the serving layer's snapshot hook, shared with
-// shard.ShardedTree: it clones the current epoch *now* (pinning it only
-// for the arena copy) and returns a gob encoder over the private clone
-// to run later, so serialization I/O never blocks writers or pins an
-// epoch. The serving layer captures the tree state and the WAL's last
-// LSN at one consistent instant (under its snapshot lock) and keeps the
-// encoding I/O outside every lock. Because a mutation only returns after
-// publishing its epoch, the captured epoch reflects every acknowledged
-// write — the WAL consistency argument of internal/server is unchanged.
-func (c *ConcurrentTree) PrepareSnapshot() func(io.Writer) error {
-	return c.Snapshot().Encode
 }
 
 // Update applies fn to the tree, for compound operations (move =

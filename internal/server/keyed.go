@@ -15,6 +15,7 @@ import (
 	"github.com/rlr-tree/rlrtree/internal/collection"
 	"github.com/rlr-tree/rlrtree/internal/geom"
 	"github.com/rlr-tree/rlrtree/internal/rtree"
+	"github.com/rlr-tree/rlrtree/internal/wal"
 )
 
 // Keyed endpoints: the HTTP face of internal/collection. SET/GET/DEL
@@ -25,9 +26,11 @@ import (
 // tests and embedding callers use to inspect or validate it.
 func (s *Server) Collection() *collection.Collection { return s.coll }
 
-// maxKeyBytes caps a single object key; far below the snapshot codec's
-// corruption bound, far above any sane identifier.
+// maxKeyBytes caps a single object key, far above any sane identifier.
 const maxKeyBytes = 4096
+
+// Every key a handler accepts must fit a WAL record.
+var _ [wal.MaxKeyBytes - maxKeyBytes]struct{}
 
 func validKey(key string) error {
 	if key == "" {

@@ -90,11 +90,7 @@ func diffStates(t *testing.T, got, want map[string]geom.Rect) {
 
 func newKeyedWALServer(t *testing.T, w *wal.WAL, snapPath string) (*Server, *httptest.Server, *collection.Collection) {
 	t.Helper()
-	tree, err := rtree.NewChecked(rtree.Options{MaxEntries: 16, MinEntries: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := rtree.NewConcurrent(tree)
+	idx := newIndex(t, rtree.Options{MaxEntries: 16, MinEntries: 6})
 	coll := collection.New(idx)
 	s, err := New(Config{
 		Index:        idx,
@@ -171,14 +167,13 @@ func TestKeyedCrashRecoveryWithSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	idx2, pairs, lsn := loadSingle(t, snap)
+	_, coll2, lsn := restoreSnapshot(t, snap)
 	if lsn == 0 {
 		t.Fatal("snapshot carries no LSN")
 	}
-	if len(pairs) == 0 {
-		t.Fatal("snapshot carries no key map")
+	if coll2.Len() == 0 {
+		t.Fatal("snapshot carries no keys")
 	}
-	coll2 := collection.Restore(idx2, pairs)
 	if _, err := Recover(w2, lsn, coll2, t.Logf); err != nil {
 		t.Fatal(err)
 	}
@@ -238,9 +233,7 @@ func TestKeyedCrashRecoveryTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	tree2, _ := rtree.NewChecked(rtree.Options{MaxEntries: 16, MinEntries: 6})
-	idx2 := rtree.NewConcurrent(tree2)
-	coll2 := collection.New(idx2)
+	coll2 := collection.New(newIndex(t, rtree.Options{MaxEntries: 16, MinEntries: 6}))
 	stats, err := Recover(w2, 0, coll2, t.Logf)
 	if err != nil {
 		t.Fatal(err)

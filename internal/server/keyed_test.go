@@ -10,8 +10,6 @@ import (
 
 	"github.com/rlr-tree/rlrtree/internal/cliutil"
 	"github.com/rlr-tree/rlrtree/internal/collection"
-	"github.com/rlr-tree/rlrtree/internal/rtree"
-	"github.com/rlr-tree/rlrtree/internal/shard"
 	"github.com/rlr-tree/rlrtree/internal/wal"
 )
 
@@ -180,17 +178,17 @@ func TestKeyedSnapshotRestore(t *testing.T) {
 	s.Close()
 
 	opts, _, _ := cliutil.IndexOptions("", "rtree", 16, 6)
-	idx, pairs, lsn, err := LoadSnapshot(snap, shard.Options{Tree: opts})
+	idx, lsn, err := LoadSnapshot(snap, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lsn != 0 || len(pairs) != 50 {
-		t.Fatalf("restored lsn=%d pairs=%d, want 0/50", lsn, len(pairs))
+	if lsn != 0 || idx.Len() != 50 {
+		t.Fatalf("restored lsn=%d objects=%d, want 0/50", lsn, idx.Len())
 	}
-	if idx.Len() != 50 {
-		t.Fatalf("restored index holds %d objects, want 50", idx.Len())
+	coll, err := collection.Restore(idx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	coll := collection.Restore(idx, pairs)
 	s2, err := New(Config{Index: idx, Collection: coll})
 	if err != nil {
 		t.Fatal(err)
@@ -218,8 +216,7 @@ func TestKeyedWALRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts, _, _ := cliutil.IndexOptions("", "rtree", 16, 6)
-	tree, _ := rtree.NewChecked(opts)
-	idx := rtree.NewConcurrent(tree)
+	idx := newIndex(t, opts)
 	coll := collection.New(idx)
 	s, err := New(Config{Index: idx, Collection: coll, WAL: w})
 	if err != nil {
@@ -247,9 +244,7 @@ func TestKeyedWALRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	tree2, _ := rtree.NewChecked(opts)
-	idx2 := rtree.NewConcurrent(tree2)
-	coll2 := collection.New(idx2)
+	coll2 := collection.New(newIndex(t, opts))
 	if _, err := Recover(w2, 0, coll2, t.Logf); err != nil {
 		t.Fatal(err)
 	}

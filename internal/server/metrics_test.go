@@ -62,7 +62,7 @@ func TestQuantileNearestRank(t *testing.T) {
 // constructed.
 func TestPublishExpvarTracksLatestServer(t *testing.T) {
 	mk := func(name string) *Server {
-		s, err := New(Config{Index: rtree.NewConcurrent(rtree.New(rtree.Options{})), IndexName: name})
+		s, err := New(Config{Index: newIndex(t, rtree.Options{}), IndexName: name})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}

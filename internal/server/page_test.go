@@ -239,7 +239,7 @@ func TestPagedQueryAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	backends := map[string]collection.Spatial{
-		"single": rtree.NewConcurrent(rtree.New(rtree.Options{MaxEntries: 16, MinEntries: 6})),
+		"single": newIndex(t, rtree.Options{MaxEntries: 16, MinEntries: 6}),
 	}
 	st, err := shard.New(shard.Options{Shards: 4, Tree: rtree.Options{MaxEntries: 16, MinEntries: 6}})
 	if err != nil {

@@ -45,15 +45,11 @@ func newPolicyTestServer(t *testing.T, kind string) (*Server, *httptest.Server, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := rtree.NewChecked(rtree.Options{
-		MaxEntries: 8, MinEntries: 2,
-		Chooser: hot.Chooser(), Splitter: hot.Splitter(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, err := New(Config{
-		Index:     rtree.NewConcurrent(tree),
+		Index: newIndex(t, rtree.Options{
+			MaxEntries: 8, MinEntries: 2,
+			Chooser: hot.Chooser(), Splitter: hot.Splitter(),
+		}),
 		IndexName: "RLR-Tree",
 		Policy:    hot,
 	})
@@ -249,14 +245,10 @@ func TestWALReplayBackendIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := rtree.NewChecked(rtree.Options{
+	s, err := New(Config{Index: newIndex(t, rtree.Options{
 		MaxEntries: 8, MinEntries: 2,
 		Chooser: hot.Chooser(), Splitter: hot.Splitter(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{Index: rtree.NewConcurrent(tree), WAL: w1, Policy: hot})
+	}), WAL: w1, Policy: hot})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,11 +281,7 @@ func TestWALReplayBackendIndependent(t *testing.T) {
 		if chooser != nil {
 			opts.Chooser, opts.Splitter = chooser, splitter
 		}
-		tr, err := rtree.NewChecked(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx := rtree.NewConcurrent(tr)
+		idx := newIndex(t, opts)
 		w2, err := wal.Open(walOpts)
 		if err != nil {
 			t.Fatal(err)

@@ -3,8 +3,8 @@
 // argument — a learned index that answers queries with the unmodified
 // classic R-Tree algorithms — means the serving layer needs nothing
 // special: the index sits behind ordinary handlers, queries run
-// lock-free on rtree.ConcurrentTree's published epoch in parallel, and
-// mutations serialize through its writer mutex.
+// lock-free on each shard's published epoch in parallel, and mutations
+// serialize through the owning shard's writer mutex.
 //
 // Endpoints:
 //
@@ -49,45 +49,31 @@ import (
 	"github.com/rlr-tree/rlrtree/internal/wal"
 )
 
-// Index is the serving-side contract of a concurrent spatial index: the
-// collection's Spatial contract plus what /stats and snapshots need.
-// Both *rtree.ConcurrentTree (one tree, lock-free epoch reads) and
-// *shard.ShardedTree (N trees behind a Z-order router, per-shard writer
-// mutexes) satisfy it, so the whole HTTP layer is shard-agnostic — the
-// RLR-Tree property that queries are classic R-Tree algorithms extends
-// one level up: the serving code cannot tell how the index is
+// Index is the serving-side contract of the sharded spatial index: the
+// collection's Spatial contract plus what /stats, snapshots and the
+// rebalance loop need. *shard.ShardedTree (N trees behind a Z-order
+// router, per-shard writer mutexes, lock-free epoch reads) implements
+// it, with one shard or many, so the whole HTTP layer is shard-agnostic
+// — the RLR-Tree property that queries are classic R-Tree algorithms
+// extends one level up: the serving code cannot tell how the index is
 // partitioned.
 type Index interface {
 	collection.Spatial
 	Stats() rtree.TreeStats
-	// PrepareSnapshot captures a consistent copy of the index now (a
-	// clone of the published epoch — cheap, done under the server's
-	// snapshot lock) and returns its encoder, which the server runs
-	// outside every lock so disk I/O never blocks writers.
-	PrepareSnapshot() func(w io.Writer) error
-}
-
-// ShardStatser is optionally implemented by sharded indexes; when the
-// served Index provides it, /stats (and the expvar mirror) carry a
-// per-shard breakdown.
-type ShardStatser interface {
+	// ShardStats is the per-shard breakdown /stats reports.
 	ShardStats() []rtree.TreeStats
-}
-
-// FanoutStatser is optionally implemented by sharded indexes with query
-// pruning; when the served Index provides it, /stats (and the expvar
-// mirror) carry the cumulative fan-out counters (shards probed vs
-// pruned per query, cells migrated).
-type FanoutStatser interface {
+	// FanoutStats is the cumulative query fan-out and cell-migration
+	// counters /stats reports.
 	FanoutStats() shard.FanoutStats
-}
-
-// Rebalancer is optionally implemented by indexes that support online
-// workload-adaptive rebalancing; when the served Index provides it and
-// Config.RebalanceEvery is set, the server runs RebalanceStep
-// periodically in the background.
-type Rebalancer interface {
+	// RebalanceStep migrates at most maxCells hot cells between shards;
+	// the server calls it every Config.RebalanceEvery.
 	RebalanceStep(maxCells int) int
+	// PrepareSnapshot captures a consistent copy of the index now (a
+	// clone of the published epochs — cheap, done under the server's
+	// snapshot lock) and returns the encoder of the sharded payload,
+	// which the server runs outside every lock so disk I/O never blocks
+	// writers.
+	PrepareSnapshot() func(w io.Writer) error
 }
 
 // Defaults for the zero values of Config.
@@ -100,10 +86,9 @@ const (
 
 // Config configures a Server. Index is required.
 type Config struct {
-	// Index is the served index: an rtree.ConcurrentTree, a
-	// shard.ShardedTree, what LoadSnapshot restored (either kind), or any
-	// other Index implementation (which can serve, but SaveSnapshot only
-	// knows the payloads of those two).
+	// Index is the served index: a shard.ShardedTree (shard.New for a
+	// fresh one, LoadSnapshot for a restored one), or a decorator around
+	// one.
 	Index Index
 	// IndexName labels the index in /stats output ("rtree", "RLR-Tree"...).
 	IndexName string
@@ -126,19 +111,18 @@ type Config struct {
 	// Server.Close. Snapshots then embed the covered LSN and retire
 	// fully-covered segments.
 	WAL *wal.WAL
-	// RebalanceEvery is the background cell-rebalance interval for
-	// indexes implementing Rebalancer; zero (the default) disables the
-	// loop. Each tick migrates at most RebalanceMaxCells hot cells
-	// between shards based on the decayed per-cell heat counters.
+	// RebalanceEvery is the background cell-rebalance interval; zero
+	// (the default) disables the loop. Each tick migrates at most
+	// RebalanceMaxCells hot cells between shards based on the decayed
+	// per-cell heat counters.
 	RebalanceEvery time.Duration
 	// RebalanceMaxCells bounds the cells migrated per rebalance tick
 	// (default DefaultRebalanceMaxCells when the loop is enabled).
 	RebalanceMaxCells int
 	// Collection is the keyed object layer served by /set, /get, /del
 	// and the paged query modes. Pass the collection WAL recovery
-	// replayed into (built over Index with collection.Restore from the
-	// snapshot's key map); nil makes New build an empty one over
-	// Index.
+	// replayed into (built over Index with collection.Restore); nil
+	// makes New build an empty one over Index.
 	Collection *collection.Collection
 	// Policy, when non-nil, is the hot-swappable learned policy whose
 	// strategies the served tree was built with (cliutil.BuildIndexPolicy
@@ -235,19 +219,18 @@ func (s *Server) Start() {
 	} else {
 		go s.snapshotLoop()
 	}
-	rb, ok := s.index.(Rebalancer)
-	if !ok || s.cfg.RebalanceEvery <= 0 {
+	if s.cfg.RebalanceEvery <= 0 {
 		close(s.rebalLoopWG)
 		return
 	}
-	go s.rebalanceLoop(rb)
+	go s.rebalanceLoop()
 }
 
 // rebalanceLoop periodically migrates hot cells between shards. The
 // rebalance step takes only the index's route lock — never walMu — so
 // it cannot deadlock against mutations or snapshot captures; it merely
 // excludes queries and routed writes for the bounded migration window.
-func (s *Server) rebalanceLoop(rb Rebalancer) {
+func (s *Server) rebalanceLoop() {
 	defer close(s.rebalLoopWG)
 	t := time.NewTicker(s.cfg.RebalanceEvery)
 	defer t.Stop()
@@ -256,7 +239,7 @@ func (s *Server) rebalanceLoop(rb Rebalancer) {
 		case <-s.stopSnap:
 			return
 		case <-t.C:
-			if n := rb.RebalanceStep(s.cfg.RebalanceMaxCells); n > 0 {
+			if n := s.index.RebalanceStep(s.cfg.RebalanceMaxCells); n > 0 {
 				s.cfg.Logf("rebalance: migrated %d cells", n)
 			}
 		}
@@ -395,13 +378,11 @@ type statsResponse struct {
 	// Collection carries the keyed object layer's counters: live keys
 	// plus cumulative sets, updates-in-place and dels.
 	Collection collection.Stats `json:"collection"`
-	// Shards carries the per-shard breakdown when the served index is
-	// sharded (implements ShardStatser); absent for a single tree.
-	Shards []treeStatsPayload `json:"shards,omitempty"`
+	// Shards carries the per-shard breakdown.
+	Shards []treeStatsPayload `json:"shards"`
 	// Fanout carries the cumulative query fan-out and cell-migration
-	// counters when the served index prunes shard probes (implements
-	// FanoutStatser); absent otherwise.
-	Fanout    *shard.FanoutStats       `json:"fanout,omitempty"`
+	// counters.
+	Fanout    shard.FanoutStats        `json:"fanout"`
 	Endpoints map[string]EndpointStats `json:"endpoints"`
 	Snapshots snapshotStats            `json:"snapshots"`
 	// WAL carries the write-ahead log's counters when one is attached.
@@ -456,6 +437,7 @@ func (s *Server) statsPayload() statsResponse {
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Tree:          toTreeStatsPayload(s.index.Stats()),
 		Collection:    s.coll.Stats(),
+		Fanout:        s.index.FanoutStats(),
 		Endpoints:     s.metrics.snapshot(),
 		Snapshots: snapshotStats{
 			Path:    s.cfg.SnapshotPath,
@@ -477,16 +459,8 @@ func (s *Server) statsPayload() statsResponse {
 			Metrics: s.cfg.WAL.Metrics(),
 		}
 	}
-	if ss, ok := s.index.(ShardStatser); ok {
-		per := ss.ShardStats()
-		resp.Shards = make([]treeStatsPayload, len(per))
-		for i, st := range per {
-			resp.Shards[i] = toTreeStatsPayload(st)
-		}
-	}
-	if fs, ok := s.index.(FanoutStatser); ok {
-		fst := fs.FanoutStats()
-		resp.Fanout = &fst
+	for _, st := range s.index.ShardStats() {
+		resp.Shards = append(resp.Shards, toTreeStatsPayload(st))
 	}
 	if ns := s.lastSnap.Load(); ns != 0 {
 		resp.Snapshots.LastRFC = time.Unix(0, ns).UTC().Format(time.RFC3339)

@@ -22,18 +22,25 @@ import (
 
 // newTestServer boots a server over an empty Guttman tree on an
 // ephemeral port (httptest picks a free localhost port).
+// newIndex returns an empty one-shard index with tree's options — the
+// index a -shards 1 server serves.
+func newIndex(t testing.TB, tree rtree.Options) *shard.ShardedTree {
+	t.Helper()
+	ix, err := shard.New(shard.Options{Tree: tree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
 func newTestServer(t *testing.T, snapshotPath string) (*Server, *httptest.Server) {
 	t.Helper()
 	opts, name, err := cliutil.IndexOptions("", "rtree", 16, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := rtree.NewChecked(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, err := New(Config{
-		Index:        rtree.NewConcurrent(tree),
+		Index:        newIndex(t, opts),
 		IndexName:    name,
 		SnapshotPath: snapshotPath,
 	})
@@ -120,7 +127,7 @@ func searchKeys(t *testing.T, base string, q geom.Rect) []string {
 // results on the restored server. Run it with -race: queries below run
 // from concurrent goroutines.
 func TestServerLifecycle(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "tree.gob")
+	snap := filepath.Join(t.TempDir(), "index.snap")
 	s, ts := newTestServer(t, snap)
 
 	rng := rand.New(rand.NewSource(42))
@@ -224,14 +231,18 @@ func TestServerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, pairs, _, err := LoadSnapshot(snap, shard.Options{Tree: opts})
+	restored, _, err := LoadSnapshot(snap, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Len() != n-1 || len(pairs) != n-1 {
-		t.Fatalf("restored %d objects and %d keys, want %d", restored.Len(), len(pairs), n-1)
+	coll, err := collection.Restore(restored)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s2, err := New(Config{Index: restored, Collection: collection.Restore(restored, pairs), IndexName: "rtree"})
+	if restored.Len() != n-1 || coll.Len() != n-1 {
+		t.Fatalf("restored %d objects and %d keys, want %d", restored.Len(), coll.Len(), n-1)
+	}
+	s2, err := New(Config{Index: restored, Collection: coll, IndexName: "rtree"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +263,7 @@ func TestServerLifecycle(t *testing.T) {
 }
 
 func TestServerCloseWritesFinalSnapshot(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "final.gob")
+	snap := filepath.Join(t.TempDir(), "final.snap")
 	s, ts := newTestServer(t, snap)
 	setKey(t, ts.URL, "x", geom.NewRect(0.1, 0.1, 0.2, 0.2))
 	ts.Close()
@@ -260,7 +271,7 @@ func TestServerCloseWritesFinalSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts, _, _ := cliutil.IndexOptions("", "rtree", 16, 6)
-	restored, _, _, err := LoadSnapshot(snap, shard.Options{Tree: opts})
+	restored, _, err := LoadSnapshot(snap, opts)
 	if err != nil {
 		t.Fatalf("final snapshot missing: %v", err)
 	}
@@ -274,11 +285,10 @@ func TestServerCloseWritesFinalSnapshot(t *testing.T) {
 }
 
 func TestBackgroundSnapshotLoop(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "bg.gob")
+	snap := filepath.Join(t.TempDir(), "bg.snap")
 	opts, _, _ := cliutil.IndexOptions("", "rtree", 16, 6)
-	tree, _ := rtree.NewChecked(opts)
 	s, err := New(Config{
-		Index:         rtree.NewConcurrent(tree),
+		Index:         newIndex(t, opts),
 		SnapshotPath:  snap,
 		SnapshotEvery: 10 * time.Millisecond,
 	})
@@ -299,7 +309,7 @@ func TestBackgroundSnapshotLoop(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := LoadSnapshot(snap, shard.Options{Tree: opts}); err != nil {
+	if _, _, err := LoadSnapshot(snap, opts); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -360,8 +370,7 @@ func TestBadRequests(t *testing.T) {
 
 func TestBodySizeCap(t *testing.T) {
 	opts, _, _ := cliutil.IndexOptions("", "rtree", 16, 6)
-	tree, _ := rtree.NewChecked(opts)
-	s, err := New(Config{Index: rtree.NewConcurrent(tree), MaxBodyBytes: 256})
+	s, err := New(Config{Index: newIndex(t, opts), MaxBodyBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,8 +393,7 @@ func TestBodySizeCap(t *testing.T) {
 // mode — and the retired ID endpoints are gone.
 func TestQueriesWithoutLimitAnswerOnePage(t *testing.T) {
 	opts, _, _ := cliutil.IndexOptions("", "rtree", 16, 6)
-	tree, _ := rtree.NewChecked(opts)
-	s, err := New(Config{Index: rtree.NewConcurrent(tree), MaxResults: 5})
+	s, err := New(Config{Index: newIndex(t, opts), MaxResults: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

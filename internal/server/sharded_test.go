@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -49,7 +48,7 @@ func TestConfigRequiresAnIndex(t *testing.T) {
 // set, query, per-shard /stats breakdown, snapshot, restart from it,
 // identical query results.
 func TestShardedServerLifecycle(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "sharded.gob")
+	snap := filepath.Join(t.TempDir(), "sharded.snap")
 	s, ts, st := newShardedTestServer(t, snap)
 
 	rng := rand.New(rand.NewSource(11))
@@ -107,25 +106,22 @@ func TestShardedServerLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The sharded snapshot restores only when a sharded index is asked
-	// for (the shard count itself comes from the file)...
-	opts := shard.Options{Tree: rtree.Options{MaxEntries: 16, MinEntries: 6}}
-	if _, _, _, err := LoadSnapshot(snap, opts); !errors.Is(err, ErrSnapshotKind) {
-		t.Fatalf("single-tree load of a sharded snapshot: err = %v, want ErrSnapshotKind", err)
-	}
-	opts.Shards = 2
-	index, pairs, _, err := LoadSnapshot(snap, opts)
+	// The shard count comes from the file...
+	restored, _, err := LoadSnapshot(snap, rtree.Options{MaxEntries: 16, MinEntries: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := index.(*shard.ShardedTree)
 	if restored.Len() != n-1 || restored.NumShards() != st.NumShards() {
 		t.Fatalf("restored %d objects over %d shards, want %d over %d",
 			restored.Len(), restored.NumShards(), n-1, st.NumShards())
 	}
 
 	// ...and the restored server answers every query identically.
-	s2, err := New(Config{Index: restored, Collection: collection.Restore(restored, pairs), IndexName: "rtree[4 shards]"})
+	coll, err := collection.Restore(restored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := New(Config{Index: restored, Collection: coll, IndexName: "rtree[4 shards]"})
 	if err != nil {
 		t.Fatal(err)
 	}

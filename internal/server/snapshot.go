@@ -8,13 +8,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"time"
 
-	"github.com/rlr-tree/rlrtree/internal/collection"
-	"github.com/rlr-tree/rlrtree/internal/geom"
 	"github.com/rlr-tree/rlrtree/internal/rtree"
 	"github.com/rlr-tree/rlrtree/internal/shard"
 )
@@ -22,22 +19,18 @@ import (
 // Snapshot container. One file holds everything a restart needs, and
 // this file is the only code that knows its byte layout:
 //
-//	| magic "RLR-SNAP" | version u32 | kind u8 | lsn u64 |      header, 21 bytes
-//	| uvarint count | count × pair |                            key map
-//	| index payload |                                           to the trailer
-//	| crc32c u32 |                                              over every byte above
+//	| magic "RLR-SNAP" | version u32 = 2 | lsn u64 |   header, 20 bytes
+//	| sharded payload |                              to the trailer
+//	| crc32c u32 |                                   over every byte above
 //
-//	pair = uvarint keyLen | key bytes | MinX MinY MaxX MaxY float64
-//
-// All fixed-width integers are little-endian. kind names the decoder of
-// the index payload: the gob of rtree.(*Tree).Encode for a single tree,
-// the gob of shard.(*ShardedTree).EncodeSnapshot for a sharded one —
-// each package owns its own payload and knows nothing of the container.
-// lsn is the last WAL record the state covers (0 without a log, which
-// replays a whole log). The key map is always present; a server that
-// never saw a keyed write stores count 0. The LSN travels inside the
-// file because the rename that publishes the file is then the single
-// commit point for state and LSN together.
+// All fixed-width integers are little-endian. The payload is the gob of
+// shard.(*ShardedTree).EncodeSnapshot — the shard package owns it and
+// knows nothing of the container. It is the whole served state: every
+// leaf payload is the object's key, so collection.Restore rebuilds the
+// key map from the restored index. lsn is the last WAL record the state
+// covers (0 without a log, which replays a whole log). The LSN travels
+// inside the file because the rename that publishes the file is then the
+// single commit point for state and LSN together.
 //
 // The CRC (the WAL's polynomial) is verified before any field is
 // trusted, so a torn or bit-rotted file is a load error, never a
@@ -46,37 +39,23 @@ import (
 var snapMagic = [8]byte{'R', 'L', 'R', '-', 'S', 'N', 'A', 'P'}
 
 const (
-	snapVersion   = 1
-	snapHeaderLen = 8 + 4 + 1 + 8
-	snapMinPair   = 1 + 32 // empty key: one length byte and the rect
-
-	kindSingle  = 1
-	kindSharded = 2
+	// snapVersion 1 also carried a kind byte and a key-map section; its
+	// files are refused, not converted.
+	snapVersion   = 2
+	snapHeaderLen = 8 + 4 + 8
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrSnapshotKind reports a snapshot whose index kind (single tree or
-// sharded) is not the one the loader was asked for. A server must be
-// restarted with the -shards setting its snapshot was written with.
-var ErrSnapshotKind = errors.New("snapshot kind mismatch")
-
-func kindName(kind byte) string {
-	if kind == kindSharded {
-		return "sharded"
-	}
-	return "single-tree"
-}
-
-// SaveSnapshot writes the served index and key map to
-// Config.SnapshotPath. The capture — last LSN, key map, a clone of the
-// index's published epoch(s) — happens under the exclusive half of
-// walMu, which every mutation holds shared, so the three correspond to
-// one instant with or without a log (see wal.go). Encoding and disk I/O
-// run outside every lock; the file is written to a temp sibling and
-// renamed into place, so a crash mid-write leaves the previous snapshot
-// intact. With a WAL attached a successful snapshot advances the durable
-// LSN and retires fully covered log segments.
+// SaveSnapshot writes the served index to Config.SnapshotPath. The
+// capture — last LSN and a clone of the index's published epochs —
+// happens under the exclusive half of walMu, which every mutation holds
+// shared, so the two correspond to one instant with or without a log
+// (see wal.go). Encoding and disk I/O run outside every lock; the file
+// is written to a temp sibling and renamed into place, so a crash
+// mid-write leaves the previous snapshot intact. With a WAL attached a
+// successful snapshot advances the durable LSN and retires fully covered
+// log segments.
 //
 // SaveSnapshot is single-flighted: snapSaveMu is held across
 // capture+write+rename+retire so concurrent callers (POST /snapshot,
@@ -89,15 +68,6 @@ func (s *Server) SaveSnapshot() error {
 	if s.cfg.SnapshotPath == "" {
 		return fmt.Errorf("server: no snapshot path configured")
 	}
-	var kind byte
-	switch s.index.(type) {
-	case *rtree.ConcurrentTree:
-		kind = kindSingle
-	case *shard.ShardedTree:
-		kind = kindSharded
-	default:
-		return fmt.Errorf("server: no snapshot payload kind for index type %T", s.index)
-	}
 	s.snapSaveMu.Lock()
 	defer s.snapSaveMu.Unlock()
 
@@ -106,7 +76,6 @@ func (s *Server) SaveSnapshot() error {
 	if s.cfg.WAL != nil {
 		lsn = s.cfg.WAL.LastLSN()
 	}
-	pairs := s.coll.Pairs()
 	encodeIndex := s.index.PrepareSnapshot()
 	s.walMu.Unlock()
 
@@ -118,7 +87,7 @@ func (s *Server) SaveSnapshot() error {
 		return fmt.Errorf("server: snapshot capture LSN %d behind durable LSN %d, refusing stale overwrite", lsn, s.snapLSN.Load())
 	}
 	err := writeSnapshotAtomic(s.cfg.SnapshotPath, func(w io.Writer) error {
-		return writeSnapshot(w, kind, lsn, pairs, encodeIndex)
+		return writeSnapshot(w, lsn, encodeIndex)
 	})
 	if err != nil {
 		s.snapErrors.Add(1)
@@ -138,26 +107,16 @@ func (s *Server) SaveSnapshot() error {
 }
 
 // writeSnapshot streams one container to w, checksumming as it goes.
-func writeSnapshot(w io.Writer, kind byte, lsn uint64, pairs []collection.KeyRect, encodeIndex func(io.Writer) error) error {
+func writeSnapshot(w io.Writer, lsn uint64, encodeIndex func(io.Writer) error) error {
 	sum := crc32.New(castagnoli)
 	bw := bufio.NewWriter(io.MultiWriter(w, sum))
 
-	var buf [32]byte
+	var buf [snapHeaderLen]byte
 	copy(buf[:8], snapMagic[:])
 	binary.LittleEndian.PutUint32(buf[8:], snapVersion)
-	buf[12] = kind
-	binary.LittleEndian.PutUint64(buf[13:], lsn)
-	bw.Write(buf[:snapHeaderLen]) // bufio errors are sticky; Flush reports them
+	binary.LittleEndian.PutUint64(buf[12:], lsn)
+	bw.Write(buf[:]) // bufio errors are sticky; Flush reports them
 
-	bw.Write(binary.AppendUvarint(buf[:0], uint64(len(pairs))))
-	for _, p := range pairs {
-		bw.Write(binary.AppendUvarint(buf[:0], uint64(len(p.Key))))
-		bw.WriteString(p.Key)
-		for i, v := range [4]float64{p.Rect.MinX, p.Rect.MinY, p.Rect.MaxX, p.Rect.MaxY} {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-		}
-		bw.Write(buf[:])
-	}
 	if err := encodeIndex(bw); err != nil {
 		return err
 	}
@@ -208,109 +167,57 @@ func writeSnapshotAtomic(path string, encode func(io.Writer) error) error {
 	return nil
 }
 
-// LoadSnapshot restores what SaveSnapshot wrote: the index (a
-// *rtree.ConcurrentTree or a *shard.ShardedTree, per the file's kind),
-// the key map to rebuild the collection with collection.Restore over
-// that index, and the WAL LSN the state covers — replaying the log past
-// it reproduces the pre-crash state; 0 replays the whole log.
+// LoadSnapshot restores what SaveSnapshot wrote: the sharded index and
+// the WAL LSN the state covers — replaying the log past it reproduces
+// the pre-crash state; 0 replays the whole log. Rebuild the keyed layer
+// over the index with collection.Restore.
 //
-// opts.Shards > 1 asks for a sharded index, anything else for a single
-// tree; a file of the other kind fails with ErrSnapshotKind. The routing
-// geometry of a sharded index (shard count, grid, world) comes from the
-// file. opts.Tree supplies the insertion strategies for the restored
-// index's future writes — build it with cliutil.IndexOptions so a server
-// restarted with the same -policy / -index flags keeps the insertion
-// behaviour its snapshot was built with. Returns os.ErrNotExist
-// (wrapped) when no snapshot exists yet.
-func LoadSnapshot(path string, opts shard.Options) (Index, []collection.KeyRect, uint64, error) {
+// The routing geometry (shard count, grid, world) comes from the file.
+// tree supplies the insertion strategies for the restored index's future
+// writes — build it with cliutil.IndexOptions so a server restarted with
+// the same -policy / -index flags keeps the insertion behaviour its
+// snapshot was built with. Returns os.ErrNotExist (wrapped) when no
+// snapshot exists yet.
+func LoadSnapshot(path string, tree rtree.Options) (*shard.ShardedTree, uint64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("server: open snapshot: %w", err)
+		return nil, 0, fmt.Errorf("server: open snapshot: %w", err)
 	}
-	index, pairs, lsn, err := decodeSnapshot(data, opts)
+	index, lsn, err := decodeSnapshot(data, tree)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("server: %s: %w", path, err)
+		return nil, 0, fmt.Errorf("server: %s: %w", path, err)
 	}
-	return index, pairs, lsn, nil
+	return index, lsn, nil
 }
 
 // decodeSnapshot restores an index from one container held in memory.
-func decodeSnapshot(data []byte, opts shard.Options) (Index, []collection.KeyRect, uint64, error) {
-	kind, lsn, pairs, payload, err := parseSnapshot(data)
+func decodeSnapshot(data []byte, tree rtree.Options) (*shard.ShardedTree, uint64, error) {
+	lsn, payload, err := parseSnapshot(data)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	want := byte(kindSingle)
-	if opts.Shards > 1 {
-		want = kindSharded
-	}
-	if kind != want {
-		return nil, nil, 0, fmt.Errorf("%w: file holds a %s index, -shards %d asks for a %s one",
-			ErrSnapshotKind, kindName(kind), opts.Shards, kindName(want))
-	}
-	var index Index
-	if kind == kindSharded {
-		index, err = shard.Decode(bytes.NewReader(payload), opts)
-	} else {
-		var t *rtree.Tree
-		if t, err = rtree.Decode(bytes.NewReader(payload), opts.Tree); err == nil {
-			index = rtree.NewConcurrent(t)
-		}
-	}
+	index, err := shard.Decode(bytes.NewReader(payload), shard.Options{Tree: tree})
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	return index, pairs, lsn, nil
+	return index, lsn, nil
 }
 
-// parseSnapshot verifies a container and splits it into its header
-// fields, key map and index payload (a sub-slice of data). Nothing is
-// trusted before the checksum matches, and every count and length is
-// bounded by the bytes that remain before anything is allocated for it,
-// so no input makes it allocate more than a small multiple of len(data).
-// The payload decoders behind it see checksummed bytes only.
-func parseSnapshot(data []byte) (kind byte, lsn uint64, pairs []collection.KeyRect, payload []byte, err error) {
-	fail := func(format string, args ...any) (byte, uint64, []collection.KeyRect, []byte, error) {
-		return 0, 0, nil, nil, fmt.Errorf(format, args...)
-	}
-	if len(data) < snapHeaderLen+1+4 || [8]byte(data[:8]) != snapMagic {
-		return fail("not a snapshot file (bad magic or too short)")
+// parseSnapshot verifies a container and splits it into its LSN and
+// index payload (a sub-slice of data). Nothing is trusted before the
+// checksum matches; the payload decoder sees checksummed bytes only.
+func parseSnapshot(data []byte) (lsn uint64, payload []byte, err error) {
+	if len(data) < snapHeaderLen+4 || [8]byte(data[:8]) != snapMagic {
+		return 0, nil, errors.New("not a snapshot file (bad magic or too short)")
 	}
 	body := data[:len(data)-4]
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[len(body):]) {
-		return fail("snapshot checksum mismatch (file is torn or corrupt)")
+		return 0, nil, errors.New("snapshot checksum mismatch (file is torn or corrupt)")
 	}
 	if v := binary.LittleEndian.Uint32(body[8:]); v != snapVersion {
-		return fail("unsupported snapshot version %d", v)
+		return 0, nil, fmt.Errorf("unsupported snapshot version %d (this build reads version %d only)", v, snapVersion)
 	}
-	kind, lsn = body[12], binary.LittleEndian.Uint64(body[13:])
-	if kind != kindSingle && kind != kindSharded {
-		return fail("unknown snapshot index kind %d", kind)
-	}
-	rest := body[snapHeaderLen:]
-	count, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return fail("bad key map count")
-	}
-	rest = rest[n:]
-	if count > uint64(len(rest))/snapMinPair {
-		return fail("key map claims %d pairs in %d bytes", count, len(rest))
-	}
-	pairs = make([]collection.KeyRect, count)
-	for i := range pairs {
-		klen, n := binary.Uvarint(rest)
-		if n <= 0 || uint64(len(rest)-n) < 32 || klen > uint64(len(rest)-n-32) {
-			return fail("key map pair %d overruns the file", i)
-		}
-		key, coords := rest[n:n+int(klen)], rest[n+int(klen):]
-		var c [4]float64
-		for j := range c {
-			c[j] = math.Float64frombits(binary.LittleEndian.Uint64(coords[8*j:]))
-		}
-		pairs[i] = collection.KeyRect{Key: string(key), Rect: geom.Rect{MinX: c[0], MinY: c[1], MaxX: c[2], MaxY: c[3]}}
-		rest = coords[32:]
-	}
-	return kind, lsn, pairs, rest, nil
+	return binary.LittleEndian.Uint64(body[12:]), body[snapHeaderLen:], nil
 }
 
 // snapshotLoop writes periodic background snapshots until Close.

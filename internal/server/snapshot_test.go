@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/rlr-tree/rlrtree/internal/collection"
@@ -22,18 +23,25 @@ import (
 
 var snapTestTree = rtree.Options{MaxEntries: 16, MinEntries: 6}
 
-// loadSingle restores a snapshot written by one of the single-tree test
-// servers (all built with snapTestTree's capacities).
-func loadSingle(t *testing.T, path string) (*rtree.ConcurrentTree, []collection.KeyRect, uint64) {
+// restoreSnapshot loads a snapshot written by one of the test servers
+// (all built with snapTestTree's capacities) and rebuilds its collection
+// from the restored index.
+func restoreSnapshot(t *testing.T, path string) (*shard.ShardedTree, *collection.Collection, uint64) {
 	t.Helper()
-	idx, pairs, lsn, err := LoadSnapshot(path, shard.Options{Tree: snapTestTree})
+	idx, lsn, err := LoadSnapshot(path, snapTestTree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return idx.(*rtree.ConcurrentTree), pairs, lsn
+	coll, err := collection.Restore(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx, coll, lsn
 }
 
-// snapCase is one cell of the snapshot behaviour matrix.
+// snapCase is one cell of the snapshot behaviour matrix. sharded=false
+// is the one-shard tree a -shards 1 server serves, sharded=true three
+// shards.
 type snapCase struct {
 	sharded, withWAL, keyed bool
 }
@@ -42,14 +50,17 @@ func (c snapCase) String() string {
 	return fmt.Sprintf("sharded=%v/wal=%v/keyed=%v", c.sharded, c.withWAL, c.keyed)
 }
 
-// opts are the loader options that match the case's index kind. The
-// coarse grid keeps a sharded file small enough to corrupt byte by byte.
-func (c snapCase) opts() shard.Options {
-	o := shard.Options{Tree: snapTestTree, GridBits: 2}
+func (c snapCase) shards() int {
 	if c.sharded {
-		o.Shards = 3
+		return 3
 	}
-	return o
+	return 1
+}
+
+// opts build the case's index. The coarse grid keeps a file small enough
+// to corrupt byte by byte.
+func (c snapCase) opts() shard.Options {
+	return shard.Options{Tree: snapTestTree, GridBits: 2, Shards: c.shards()}
 }
 
 // saveTestSnapshot builds a server for the case, SETs n objects through
@@ -60,19 +71,12 @@ func (c snapCase) opts() shard.Options {
 func saveTestSnapshot(t testing.TB, c snapCase, n int) (*Server, *wal.WAL, string) {
 	t.Helper()
 	dir := t.TempDir()
-	var index Index
-	if c.sharded {
-		st, err := shard.New(c.opts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		index = st
-	} else {
-		index = rtree.NewConcurrent(rtree.New(snapTestTree))
+	index, err := shard.New(c.opts())
+	if err != nil {
+		t.Fatal(err)
 	}
 	var w *wal.WAL
 	if c.withWAL {
-		var err error
 		if w, err = wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Sync: wal.SyncNone}); err != nil {
 			t.Fatal(err)
 		}
@@ -121,17 +125,14 @@ func canonical(t *testing.T, ix Index) []byte {
 	return buf.Bytes()
 }
 
-func sortedPairs(p []collection.KeyRect) []collection.KeyRect {
-	p = append([]collection.KeyRect(nil), p...)
-	sort.Slice(p, func(i, j int) bool { return p[i].Key < p[j].Key })
-	return p
-}
-
-// TestSnapshotRoundTrip pins restore∘save as the identity, whatever the
-// index kind, with or without a log, with or without keyed objects: the
-// restored index re-encodes to the same bytes, answers a fixed query
+// TestSnapshotRoundTrip pins restore∘save as the identity, for one
+// shard or three, with or without a log, with or without keyed objects:
+// the restored index re-encodes to the same bytes, answers a fixed query
 // battery with the same results AND the same node accesses, the key map
-// comes back pair for pair, and the LSN is the log's (0 without one).
+// rebuilt from it matches the saved collection key for key, and the LSN
+// is the log's (0 without one). The shard count is the file's:
+// LoadSnapshot takes none, so a restart under any -shards restores the
+// saved count.
 func TestSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	battery := make([]geom.Rect, 25)
@@ -144,14 +145,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				c := snapCase{sharded, withWAL, keyed}
 				t.Run(c.String(), func(t *testing.T) {
 					s, w, snap := saveTestSnapshot(t, c, 400)
-					index, pairs, lsn, err := LoadSnapshot(snap, c.opts())
+					index, lsn, err := LoadSnapshot(snap, snapTestTree)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, ok := index.(*shard.ShardedTree); ok != sharded {
-						t.Fatalf("restored a %T", index)
+					if index.NumShards() != c.shards() {
+						t.Fatalf("restored %d shards, want the file's %d", index.NumShards(), c.shards())
 					}
-					// First, before any query warms a sharded index's heat counters.
+					// First, before any query warms the heat counters.
 					if !bytes.Equal(canonical(t, index), canonical(t, s.index)) {
 						t.Fatal("restored index re-encodes to different bytes")
 					}
@@ -162,14 +163,22 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					if lsn != wantLSN || withWAL == (lsn == 0) {
 						t.Fatalf("restored LSN %d, want %d", lsn, wantLSN)
 					}
-					if got, want := sortedPairs(pairs), sortedPairs(s.coll.Pairs()); keyed == (len(got) == 0) || fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("restored key map %v, want %v", got, want)
+					coll, err := collection.Restore(index)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if keyed {
-						if err := collection.Restore(index, pairs).Validate(); err != nil {
-							t.Fatal(err)
+					if err := coll.Validate(); err != nil {
+						t.Fatal(err)
+					}
+					if keyed == (coll.Len() == 0) || coll.Len() != s.coll.Len() {
+						t.Fatalf("restored %d keys, saved %d", coll.Len(), s.coll.Len())
+					}
+					coll.Each(func(key string, got geom.Rect) bool {
+						if want, ok := s.coll.Get(key); !ok || got != want {
+							t.Fatalf("restored %s at %v, saved %v %v", key, got, want, ok)
 						}
-					}
+						return true
+					})
 					for i, q := range battery {
 						var got, want []string
 						gs := index.SearchEach(q, func(_ geom.Rect, d any) { got = append(got, d.(string)) })
@@ -191,18 +200,29 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotKindMismatch: a single-tree file refuses a sharded load
-// and a sharded file a single-tree load, both with the named error.
-func TestSnapshotKindMismatch(t *testing.T) {
-	for _, sharded := range []bool{false, true} {
-		c := snapCase{sharded: sharded, keyed: true}
-		_, _, snap := saveTestSnapshot(t, c, 20)
-		other := snapCase{sharded: !sharded}.opts()
-		if index, _, _, err := LoadSnapshot(snap, other); !errors.Is(err, ErrSnapshotKind) || index != nil {
-			t.Fatalf("sharded=%v file loaded with -shards %d: index %v, err %v; want ErrSnapshotKind", sharded, other.Shards, index, err)
-		}
+// TestSnapshotVersion1Refused: a file in the version-1 layout (kind
+// byte, key-map section) is refused with an error naming its version,
+// and left as it was. A missing file is os.ErrNotExist, the "start
+// empty" case.
+func TestSnapshotVersion1Refused(t *testing.T) {
+	b := append([]byte(nil), snapMagic[:]...)
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	b = append(b, 2) // kind: sharded
+	b = binary.LittleEndian.AppendUint64(b, 7)
+	b = binary.AppendUvarint(b, 0) // empty key map
+	b = append(b, "index payload"...)
+	data := sealSnapshot(b)
+	path := filepath.Join(t.TempDir(), "v1.snap")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, _, err := LoadSnapshot(filepath.Join(t.TempDir(), "absent"), shard.Options{}); !errors.Is(err, os.ErrNotExist) {
+	if index, _, err := LoadSnapshot(path, snapTestTree); err == nil || index != nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 file: index %v, err %v; want an error naming version 1", index, err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+		t.Fatalf("refused file changed on disk (err %v)", err)
+	}
+	if _, _, err := LoadSnapshot(filepath.Join(t.TempDir(), "absent"), snapTestTree); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file: %v, want os.ErrNotExist", err)
 	}
 }
@@ -218,12 +238,12 @@ func TestSnapshotAnyByteFlipIsAnError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := decodeSnapshot(data, c.opts()); err != nil {
+		if _, _, err := decodeSnapshot(data, snapTestTree); err != nil {
 			t.Fatal(err)
 		}
 		for i := range data {
 			data[i] ^= 0xff
-			if index, _, _, err := decodeSnapshot(data, c.opts()); err == nil || index != nil {
+			if index, _, err := decodeSnapshot(data, snapTestTree); err == nil || index != nil {
 				t.Fatalf("sharded=%v: flipping byte %d of %d restored an index (err %v)", sharded, i, len(data), err)
 			}
 			data[i] ^= 0xff
@@ -244,47 +264,13 @@ func allocatedBy(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestSnapshotHostileCounts hand-builds checksum-valid containers whose
-// key map claims far more pairs (or a far longer key) than the file
-// holds. The loader must refuse them having allocated next to nothing —
-// not panic in makeslice, not ask the OS for terabytes.
-func TestSnapshotHostileCounts(t *testing.T) {
-	header := func(kind byte) []byte {
-		b := append([]byte(nil), snapMagic[:]...)
-		b = binary.LittleEndian.AppendUint32(b, snapVersion)
-		b = append(b, kind)
-		return binary.LittleEndian.AppendUint64(b, 7)
-	}
-	for _, tc := range []struct {
-		name string
-		body []byte
-	}{
-		{"count 1<<62", binary.AppendUvarint(header(kindSingle), 1<<62)},
-		{"count 1<<36", append(binary.AppendUvarint(header(kindSingle), 1<<36), make([]byte, 100)...)},
-		{"key length 1<<40", append(binary.AppendUvarint(binary.AppendUvarint(header(kindSingle), 1), 1<<40), make([]byte, 64)...)},
-		{"key length overflows int", append(binary.AppendUvarint(binary.AppendUvarint(header(kindSingle), 1), 1<<63+5), make([]byte, 64)...)},
-		{"count varint cut short", append(header(kindSingle), 0x80)},
-	} {
-		data := sealSnapshot(tc.body)
-		var err error
-		got := allocatedBy(func() { _, _, _, _, err = parseSnapshot(data) })
-		if err == nil {
-			t.Errorf("%s: loaded", tc.name)
-		}
-		if got > 1<<20 {
-			t.Errorf("%s: allocated %d bytes for a %d-byte file", tc.name, got, len(data))
-		}
-	}
-}
-
 // FuzzLoadSnapshot feeds the loader arbitrary bytes: no panic, memory in
-// proportion to the input, an index only when every section parsed. The
-// checksum stops a mutated file at the door, so each input is also
-// resealed — its trailer rewritten to match — and run through the
-// container parser, where hostile counts and lengths then meet the
-// bounds checks. (Resealed bytes stop short of the gob payload decoders:
-// those size their arenas from the payload's own node capacity and are
-// only ever handed checksummed bytes.)
+// proportion to the input, an index only when the container and its
+// payload both parsed. The checksum stops a mutated file at the door, so
+// each input is also resealed — its trailer rewritten to match — and run
+// through the container parser. (Resealed bytes stop short of the gob
+// payload decoder: it sizes its arenas from the payload's own node
+// capacity and is only ever handed checksummed bytes.)
 func FuzzLoadSnapshot(f *testing.F) {
 	for _, c := range []snapCase{
 		{sharded: false, keyed: true},
@@ -303,39 +289,30 @@ func FuzzLoadSnapshot(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		limit := uint64(1<<20 + 64*len(data))
-		for _, shards := range []int{1, 3} {
-			var (
-				index Index
-				pairs []collection.KeyRect
-				err   error
-			)
-			got := allocatedBy(func() {
-				index, pairs, _, err = decodeSnapshot(data, shard.Options{Shards: shards, Tree: snapTestTree})
-			})
-			if err != nil && (index != nil || pairs != nil) {
-				t.Fatalf("error %v came with an index or a key map", err)
-			}
-			if err != nil && got > limit {
-				t.Fatalf("rejecting a %d-byte input allocated %d bytes", len(data), got)
-			}
-			if err == nil && (len(pairs) > len(data)/snapMinPair || index.Len() > len(data)) {
-				t.Fatalf("%d-byte input restored %d pairs and %d objects", len(data), len(pairs), index.Len())
-			}
+		var (
+			index *shard.ShardedTree
+			err   error
+		)
+		got := allocatedBy(func() { index, _, err = decodeSnapshot(data, snapTestTree) })
+		if err != nil && index != nil {
+			t.Fatalf("error %v came with an index", err)
+		}
+		if err != nil && got > limit {
+			t.Fatalf("rejecting a %d-byte input allocated %d bytes", len(data), got)
+		}
+		if err == nil && index.Len() > len(data) {
+			t.Fatalf("%d-byte input restored %d objects", len(data), index.Len())
 		}
 		if len(data) < 4 {
 			return
 		}
 		sealed := sealSnapshot(append([]byte(nil), data[:len(data)-4]...))
-		var (
-			pairs   []collection.KeyRect
-			payload []byte
-			err     error
-		)
-		if got := allocatedBy(func() { _, _, pairs, payload, err = parseSnapshot(sealed) }); got > limit {
+		var payload []byte
+		if got := allocatedBy(func() { _, payload, err = parseSnapshot(sealed) }); got > limit {
 			t.Fatalf("parsing a %d-byte input allocated %d bytes", len(sealed), got)
 		}
-		if err == nil && (len(pairs) > len(sealed)/snapMinPair || len(payload) > len(sealed)) {
-			t.Fatalf("%d-byte input parsed into %d pairs and %d payload bytes", len(sealed), len(pairs), len(payload))
+		if err == nil && len(payload) != len(sealed)-snapHeaderLen-4 {
+			t.Fatalf("%d-byte input parsed into %d payload bytes", len(sealed), len(payload))
 		}
 	})
 }

@@ -20,18 +20,18 @@ import (
 // without a log — holds it SHARED for its append+apply critical section
 // (mutations still run concurrently with each other — per-shard
 // parallelism is untouched), while the snapshot capture holds it
-// EXCLUSIVE just long enough to read the last LSN, copy the key map and
-// clone the index. With no mutation mid-flight — neither between its
-// append and its apply, nor between a keyed move's index delete, index
-// insert and key-map update — the key map, the clone and the captured
-// LSN describe one instant: the restored collection validates, and
-// replaying records after that LSN neither duplicates nor drops a
-// write. The expensive snapshot encoding runs outside the lock
-// (Index.PrepareSnapshot). Epoch publication in rtree.ConcurrentTree
-// preserves this argument unchanged: an index mutation returns — and so
-// releases its shared hold on walMu — only after publishing the epoch
-// containing it, so the epoch the exclusive capture clones reflects
-// every mutation whose append the captured LSN covers.
+// EXCLUSIVE just long enough to read the last LSN and clone the index.
+// With no mutation mid-flight — neither between its append and its
+// apply, nor between a keyed move's index delete and index insert — the
+// clone and the captured LSN describe one instant: the key map rebuilt
+// from the clone validates, and replaying records after that LSN neither
+// duplicates nor drops a write. The expensive snapshot encoding runs
+// outside the lock (Index.PrepareSnapshot). Epoch publication in each
+// shard's rtree.ConcurrentTree preserves this argument unchanged: an
+// index mutation returns — and so releases its shared hold on walMu —
+// only after publishing the epoch containing it, so the epochs the
+// exclusive capture clones reflect every mutation whose append the
+// captured LSN covers.
 //
 // walMu alone does not order two concurrent LOGGED mutations against
 // EACH OTHER: writer A could append set(X) at LSN 1, writer B append
@@ -102,10 +102,10 @@ func (s *Server) appendDelKey(key string) (bool, error) {
 // Recover replays every log record past afterLSN (the LSN the restored
 // snapshot covers) into coll, in LSN order. Records route through the
 // collection's index dynamically, so a log written by an N-shard server
-// restores correctly into an M-shard or single-tree one; an epoch
-// mismatch is logged once as a heads-up, not an error. Build coll with
-// collection.Restore from the snapshot's key map and pass the same
-// instance to Config.Collection. Recover must run before the server
+// restores correctly into an M-shard one; an epoch mismatch is logged
+// once as a heads-up, not an error. Build coll with collection.Restore
+// over the restored index and pass the same instance to
+// Config.Collection. Recover must run before the server
 // starts handling requests.
 func Recover(w *wal.WAL, afterLSN uint64, coll *collection.Collection, logf func(format string, args ...any)) (wal.ReplayStats, error) {
 	if logf == nil {

@@ -52,12 +52,8 @@ func oracleIDs(oracle map[string]geom.Rect) []string {
 
 func newWALTestServer(t *testing.T, w *wal.WAL, snapPath string) (*Server, *httptest.Server) {
 	t.Helper()
-	tree, err := rtree.NewChecked(rtree.Options{MaxEntries: 16, MinEntries: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, err := New(Config{
-		Index:        rtree.NewConcurrent(tree),
+		Index:        newIndex(t, rtree.Options{MaxEntries: 16, MinEntries: 6}),
 		SnapshotPath: snapPath,
 		WAL:          w,
 	})
@@ -78,7 +74,7 @@ func newWALTestServer(t *testing.T, w *wal.WAL, snapPath string) (*Server, *http
 func TestServerWALCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
-	snap := filepath.Join(dir, "tree.gob")
+	snap := filepath.Join(dir, "index.snap")
 	walOpts := wal.Options{Dir: walDir, SegmentBytes: 4096, Sync: wal.SyncAlways, Epoch: 1}
 	w1, err := wal.Open(walOpts)
 	if err != nil {
@@ -154,11 +150,10 @@ func TestServerWALCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	idx2, pairs, lsn := loadSingle(t, snap)
+	idx2, coll2, lsn := restoreSnapshot(t, snap)
 	if lsn == 0 {
 		t.Fatal("snapshot carries no LSN")
 	}
-	coll2 := collection.Restore(idx2, pairs)
 	if _, err := Recover(w2, lsn, coll2, t.Logf); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +192,7 @@ func TestServerWALSnapshotRetiresSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	s, ts := newWALTestServer(t, w, filepath.Join(dir, "tree.gob"))
+	s, ts := newWALTestServer(t, w, filepath.Join(dir, "index.snap"))
 
 	for i := 0; i < 200; i++ {
 		setKey(t, ts.URL, fmt.Sprintf("r-%03d", i), geom.Square(float64(i)/200, 0.5, 0.01))
@@ -218,8 +213,8 @@ func TestServerWALSnapshotRetiresSegments(t *testing.T) {
 	}
 	// Everything the snapshot covers is gone from disk, yet restore +
 	// replay still reproduces the full state.
-	idx2, pairs, lsn := loadSingle(t, filepath.Join(dir, "tree.gob"))
-	if _, err := Recover(w, lsn, collection.Restore(idx2, pairs), nil); err != nil {
+	idx2, coll2, lsn := restoreSnapshot(t, filepath.Join(dir, "index.snap"))
+	if _, err := Recover(w, lsn, coll2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if idx2.Len() != 200 {
@@ -232,7 +227,7 @@ func TestServerWALSnapshotRetiresSegments(t *testing.T) {
 // failures), and a later successful one must not reset it.
 func TestSnapshotErrorsCounter(t *testing.T) {
 	dir := t.TempDir()
-	s, ts := newTestServer(t, filepath.Join(dir, "missing-subdir", "tree.gob"))
+	s, ts := newTestServer(t, filepath.Join(dir, "missing-subdir", "index.snap"))
 	if err := s.SaveSnapshot(); err == nil {
 		t.Fatal("snapshot into a nonexistent directory succeeded")
 	}
@@ -309,11 +304,7 @@ func TestServerWALShardedRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	tree, err := rtree.NewChecked(rtree.Options{MaxEntries: 16, MinEntries: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx2 := rtree.NewConcurrent(tree)
+	idx2 := newIndex(t, rtree.Options{MaxEntries: 16, MinEntries: 6})
 	var logged []string
 	stats, err := Recover(w2, 0, collection.New(idx2), func(format string, args ...any) {
 		logged = append(logged, fmt.Sprintf(format, args...))
@@ -361,7 +352,7 @@ func TestConcurrentSnapshotsAndWrites(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			snap := filepath.Join(dir, "tree.gob")
+			snap := filepath.Join(dir, "index.snap")
 			s, _ := newWALTestServer(t, w1, snap)
 
 			// Each writer owns its keys — placed up front, then moved round and
@@ -408,7 +399,7 @@ func TestConcurrentSnapshotsAndWrites(t *testing.T) {
 					}
 				}(c)
 			}
-			opts := shard.Options{Tree: rtree.Options{MaxEntries: 16, MinEntries: 6}}
+			opts := rtree.Options{MaxEntries: 16, MinEntries: 6}
 			for c := 0; c < snappers; c++ {
 				snapping.Add(1)
 				go func() {
@@ -418,12 +409,16 @@ func TestConcurrentSnapshotsAndWrites(t *testing.T) {
 							t.Errorf("snapshot: %v", err)
 							return
 						}
-						idx, pairs, _, err := LoadSnapshot(snap, opts)
+						idx, _, err := LoadSnapshot(snap, opts)
 						if err != nil {
 							t.Errorf("load: %v", err)
 							return
 						}
-						if err := collection.Restore(idx, pairs).Validate(); err != nil {
+						coll, err := collection.Restore(idx)
+						if err == nil {
+							err = coll.Validate()
+						}
+						if err != nil {
 							t.Errorf("snapshot taken under concurrent SETs is torn: %v", err)
 							return
 						}
@@ -445,8 +440,7 @@ func TestConcurrentSnapshotsAndWrites(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			idx2, pairs, lsn := loadSingle(t, snap)
-			coll2 := collection.Restore(idx2, pairs)
+			_, coll2, lsn := restoreSnapshot(t, snap)
 			if withWAL {
 				w2, err := wal.Open(walOpts)
 				if err != nil {
@@ -481,7 +475,7 @@ func TestWALSameIDRaceReplayConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _ := newWALTestServer(t, w1, filepath.Join(dir, "tree.gob"))
+	s, _ := newWALTestServer(t, w1, filepath.Join(dir, "index.snap"))
 
 	// Rounds of eight goroutines hitting one key at once: every round
 	// ends the key's history with a burst of concurrent ops, so an
@@ -519,11 +513,7 @@ func TestWALSameIDRaceReplayConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	tree2, err := rtree.NewChecked(rtree.Options{MaxEntries: 16, MinEntries: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx2 := rtree.NewConcurrent(tree2)
+	idx2 := newIndex(t, rtree.Options{MaxEntries: 16, MinEntries: 6})
 	coll2 := collection.New(idx2)
 	if _, err := Recover(w2, 0, coll2, nil); err != nil {
 		t.Fatal(err)

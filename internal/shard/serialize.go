@@ -12,9 +12,8 @@ import (
 
 // wireSharded is the gob wire form of a ShardedTree: the routing
 // parameters plus each shard's own rtree gob encoding, kept as opaque
-// byte blocks so the per-shard format stays exactly the single-tree
-// snapshot format (a 1-shard snapshot and a plain tree snapshot differ
-// only by this envelope).
+// byte blocks so each shard's block is exactly rtree.(*Tree).Encode's
+// format.
 //
 // The adaptive-routing state travels with the trees: the cell→shard
 // assignment (restoring with the wrong table would route deletes to the
@@ -53,10 +52,9 @@ func (s *ShardedTree) EncodeSnapshot(w io.Writer) error {
 // PrepareSnapshot clones every shard's published epoch *now* — together
 // with the cell→shard assignment, heat and bounds tables, all captured
 // under the shared route lock so no cell migration intervenes — and
-// returns an encoder over the private captures to run later, mirroring
-// rtree.(*ConcurrentTree).PrepareSnapshot: the serving layer captures
-// the clones and the WAL's last LSN at one consistent instant, then
-// encodes outside all locks.
+// returns an encoder over the private captures to run later: the serving
+// layer captures the clones and the WAL's last LSN at one consistent
+// instant, then encodes outside all locks.
 func (s *ShardedTree) PrepareSnapshot() func(w io.Writer) error {
 	s.routeMu.RLock()
 	clones := make([]*rtree.Tree, len(s.shards))

@@ -188,7 +188,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	// A valid gob stream of the wrong shape must also fail.
 	var buf bytes.Buffer
 	s := newTestSharded(t, 2)
-	if err := s.Shard(0).PrepareSnapshot()(&buf); err != nil {
+	if err := s.Shard(0).Snapshot().Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Decode(&buf, Options{Tree: testTreeOpts()}); err == nil {

@@ -350,8 +350,10 @@ func ResumeCombined(prev *Policy, data []Rect, cfg TrainConfig) (*Policy, *Train
 // insert-rect — and it is what the serving layer's /set, /get, /del,
 // /search, /within and /knn endpoints speak.
 type (
-	// Collection is the keyed layer over a Spatial index. All methods are
-	// safe for concurrent use; Set/Del serialize per key.
+	// Collection is the keyed layer over a Spatial index: a key map (a Go
+	// map from key to rect) beside an index whose leaf payloads are the
+	// keys. All methods are safe for concurrent use; Set/Del serialize
+	// per key.
 	Collection = collection.Collection
 	// Spatial is the index contract the collection needs; both
 	// *ConcurrentTree and *ShardedTree satisfy it.
@@ -362,9 +364,6 @@ type (
 	// Page is one page of a keyed query: parallel Keys/Rects (plus Dists
 	// for Nearby) and a resume Cursor, non-empty while results remain.
 	Page = collection.Page
-	// KeyRect is one (key, position) pair, the unit of the keyed snapshot
-	// section.
-	KeyRect = collection.KeyRect
 	// CollectionStats is the collection's counter snapshot (objects,
 	// sets, updates in place, dels).
 	CollectionStats = collection.Stats
@@ -375,9 +374,10 @@ type (
 // or a ShardedTree for per-shard write locks under churn.
 func NewCollection(ix Spatial) *Collection { return collection.New(ix) }
 
-// RestoreCollection rebuilds a collection whose key map comes from a
-// snapshot while ix was restored from the same snapshot's index
-// payload; see collection.Restore for the pairing contract.
-func RestoreCollection(ix Spatial, pairs []KeyRect) *Collection {
-	return collection.Restore(ix, pairs)
+// RestoreCollection returns a collection over ix — an index restored
+// from a snapshot, which already holds every object under its key —
+// whose key map is rebuilt by walking ix's leaves. It fails when a leaf
+// payload is not a string key or a key is indexed twice.
+func RestoreCollection(ix Spatial) (*Collection, error) {
+	return collection.Restore(ix)
 }
