@@ -132,10 +132,9 @@ type queryResult struct {
 // fanoutCounters mirrors the server's /stats "fanout" section (present
 // only when the served index prunes shard probes).
 type fanoutCounters struct {
-	Queries       uint64 `json:"queries"`
-	ShardsProbed  uint64 `json:"shards_probed"`
-	ShardsPruned  uint64 `json:"shards_pruned"`
-	CellsMigrated uint64 `json:"cells_migrated"`
+	Queries      uint64 `json:"queries"`
+	ShardsProbed uint64 `json:"shards_probed"`
+	ShardsPruned uint64 `json:"shards_pruned"`
 }
 
 // fetchFanout reads the fan-out counters from GET /stats, returning nil

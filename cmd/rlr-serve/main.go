@@ -30,14 +30,13 @@
 // concurrent writers stop serializing on one write lock (-shards 1 is
 // one tree behind the same router). Queries prune shards through
 // per-shard bounds summaries (selective queries probe ~1–2 shards
-// instead of all N), and -rebalance-every enables background hot-cell
-// migration that adapts the cell→shard assignment to the observed
-// workload. /stats carries a per-shard breakdown plus the fan-out
-// counters.
+// instead of all N). The router is fixed: cell z of the Z-order grid
+// goes to shard z·N/cells. /stats carries a per-shard breakdown plus
+// the fan-out counters.
 //
 // On startup the server restores the snapshot file when it exists, so a
-// restart resumes with the indexed data intact. The file's shard count,
-// grid and cell assignment win over -shards, which shapes a fresh index
+// restart resumes with the indexed data intact. The file's shard count
+// and grid win over -shards, which shapes a fresh index
 // only. On SIGINT/SIGTERM it drains in-flight requests and writes a
 // final snapshot. GET /debug/vars exposes the standard expvar page
 // including the server's metrics.
@@ -79,8 +78,6 @@ func main() {
 		walDir      = flag.String("wal-dir", "", "write-ahead log directory (empty disables durability logging)")
 		walFsync    = flag.String("wal-fsync", "interval", "WAL fsync policy: always, interval, none")
 		walSegBytes = flag.Int64("wal-segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation threshold in bytes")
-		rebalEvery  = flag.Duration("rebalance-every", 0, "background hot-cell rebalance interval for sharded indexes (0 disables)")
-		rebalMax    = flag.Int("rebalance-max-cells", server.DefaultRebalanceMaxCells, "maximum cells migrated per rebalance tick")
 		reqTimeout  = flag.Duration("timeout", server.DefaultRequestTimeout, "per-request timeout")
 		maxBody     = flag.Int64("max-body", server.DefaultMaxBodyBytes, "maximum request body bytes")
 		maxResults  = flag.Int("max-results", server.DefaultMaxResults, "maximum rows per query page (also caps /knn k)")
@@ -177,9 +174,6 @@ func main() {
 		Collection:     coll,
 		Policy:         hot,
 		Logf:           logger.Printf,
-
-		RebalanceEvery:    *rebalEvery,
-		RebalanceMaxCells: *rebalMax,
 	})
 	if err != nil {
 		logger.Fatal(err)

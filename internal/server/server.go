@@ -50,24 +50,20 @@ import (
 )
 
 // Index is the serving-side contract of the sharded spatial index: the
-// collection's Spatial contract plus what /stats, snapshots and the
-// rebalance loop need. *shard.ShardedTree (N trees behind a Z-order
-// router, per-shard writer mutexes, lock-free epoch reads) implements
-// it, with one shard or many, so the whole HTTP layer is shard-agnostic
-// — the RLR-Tree property that queries are classic R-Tree algorithms
-// extends one level up: the serving code cannot tell how the index is
-// partitioned.
+// collection's Spatial contract plus what /stats and snapshots need.
+// *shard.ShardedTree (N trees behind a Z-order router, per-shard writer
+// mutexes, lock-free epoch reads) implements it, with one shard or many,
+// so the whole HTTP layer is shard-agnostic — the RLR-Tree property that
+// queries are classic R-Tree algorithms extends one level up: the
+// serving code cannot tell how the index is partitioned.
 type Index interface {
 	collection.Spatial
 	Stats() rtree.TreeStats
 	// ShardStats is the per-shard breakdown /stats reports.
 	ShardStats() []rtree.TreeStats
-	// FanoutStats is the cumulative query fan-out and cell-migration
-	// counters /stats reports.
+	// FanoutStats is the cumulative query fan-out counters /stats
+	// reports.
 	FanoutStats() shard.FanoutStats
-	// RebalanceStep migrates at most maxCells hot cells between shards;
-	// the server calls it every Config.RebalanceEvery.
-	RebalanceStep(maxCells int) int
 	// PrepareSnapshot captures a consistent copy of the index now (a
 	// clone of the published epochs — cheap, done under the server's
 	// snapshot lock) and returns the encoder of the sharded payload,
@@ -78,10 +74,9 @@ type Index interface {
 
 // Defaults for the zero values of Config.
 const (
-	DefaultRequestTimeout    = 10 * time.Second
-	DefaultMaxBodyBytes      = 16 << 20
-	DefaultMaxResults        = 100_000
-	DefaultRebalanceMaxCells = 64
+	DefaultRequestTimeout = 10 * time.Second
+	DefaultMaxBodyBytes   = 16 << 20
+	DefaultMaxResults     = 100_000
 )
 
 // Config configures a Server. Index is required.
@@ -111,14 +106,6 @@ type Config struct {
 	// Server.Close. Snapshots then embed the covered LSN and retire
 	// fully-covered segments.
 	WAL *wal.WAL
-	// RebalanceEvery is the background cell-rebalance interval; zero
-	// (the default) disables the loop. Each tick migrates at most
-	// RebalanceMaxCells hot cells between shards based on the decayed
-	// per-cell heat counters.
-	RebalanceEvery time.Duration
-	// RebalanceMaxCells bounds the cells migrated per rebalance tick
-	// (default DefaultRebalanceMaxCells when the loop is enabled).
-	RebalanceMaxCells int
 	// Collection is the keyed object layer served by /set, /get, /del
 	// and the paged query modes. Pass the collection WAL recovery
 	// replayed into (built over Index with collection.Restore); nil
@@ -143,14 +130,13 @@ type Server struct {
 	metrics metrics
 	started time.Time
 
-	snapshots   atomic.Int64  // snapshots written
-	snapErrors  atomic.Int64  // snapshot attempts that failed
-	lastSnap    atomic.Int64  // unix nanos of the last snapshot
-	snapLSN     atomic.Uint64 // WAL LSN covered by the last snapshot
-	stopSnap    chan struct{}
-	snapLoopWG  chan struct{} // closed when the background snapshot loop exits
-	rebalLoopWG chan struct{} // closed when the background rebalance loop exits
-	closed      atomic.Bool
+	snapshots  atomic.Int64  // snapshots written
+	snapErrors atomic.Int64  // snapshot attempts that failed
+	lastSnap   atomic.Int64  // unix nanos of the last snapshot
+	snapLSN    atomic.Uint64 // WAL LSN covered by the last snapshot
+	stopSnap   chan struct{}
+	snapLoopWG chan struct{} // closed when the background snapshot loop exits
+	closed     atomic.Bool
 
 	// walMu orders mutations against snapshot captures: every mutation,
 	// logged or not, holds it shared around its append+apply pair,
@@ -192,58 +178,29 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.RebalanceEvery > 0 && cfg.RebalanceMaxCells <= 0 {
-		cfg.RebalanceMaxCells = DefaultRebalanceMaxCells
-	}
 	if cfg.Collection == nil {
 		cfg.Collection = collection.New(cfg.Index)
 	}
 	s := &Server{
-		cfg:         cfg,
-		index:       cfg.Index,
-		coll:        cfg.Collection,
-		started:     time.Now(),
-		stopSnap:    make(chan struct{}),
-		snapLoopWG:  make(chan struct{}),
-		rebalLoopWG: make(chan struct{}),
+		cfg:        cfg,
+		index:      cfg.Index,
+		coll:       cfg.Collection,
+		started:    time.Now(),
+		stopSnap:   make(chan struct{}),
+		snapLoopWG: make(chan struct{}),
 	}
 	s.metrics.init()
 	return s, nil
 }
 
-// Start launches the background snapshot and rebalance loops when
-// configured. Safe to call when both are disabled (it is then a no-op).
+// Start launches the background snapshot loop when configured. Safe to
+// call when it is disabled (it is then a no-op).
 func (s *Server) Start() {
 	if s.cfg.SnapshotPath == "" || s.cfg.SnapshotEvery <= 0 {
 		close(s.snapLoopWG)
-	} else {
-		go s.snapshotLoop()
-	}
-	if s.cfg.RebalanceEvery <= 0 {
-		close(s.rebalLoopWG)
 		return
 	}
-	go s.rebalanceLoop()
-}
-
-// rebalanceLoop periodically migrates hot cells between shards. The
-// rebalance step takes only the index's route lock — never walMu — so
-// it cannot deadlock against mutations or snapshot captures; it merely
-// excludes queries and routed writes for the bounded migration window.
-func (s *Server) rebalanceLoop() {
-	defer close(s.rebalLoopWG)
-	t := time.NewTicker(s.cfg.RebalanceEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopSnap:
-			return
-		case <-t.C:
-			if n := s.index.RebalanceStep(s.cfg.RebalanceMaxCells); n > 0 {
-				s.cfg.Logf("rebalance: migrated %d cells", n)
-			}
-		}
-	}
+	go s.snapshotLoop()
 }
 
 // Close stops the background snapshot loop and writes a final snapshot —
@@ -256,7 +213,6 @@ func (s *Server) Close() error {
 	}
 	close(s.stopSnap)
 	<-s.snapLoopWG
-	<-s.rebalLoopWG
 	if s.cfg.SnapshotPath == "" {
 		return nil
 	}
@@ -380,8 +336,7 @@ type statsResponse struct {
 	Collection collection.Stats `json:"collection"`
 	// Shards carries the per-shard breakdown.
 	Shards []treeStatsPayload `json:"shards"`
-	// Fanout carries the cumulative query fan-out and cell-migration
-	// counters.
+	// Fanout carries the cumulative query fan-out counters.
 	Fanout    shard.FanoutStats        `json:"fanout"`
 	Endpoints map[string]EndpointStats `json:"endpoints"`
 	Snapshots snapshotStats            `json:"snapshots"`

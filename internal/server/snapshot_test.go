@@ -152,7 +152,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					if index.NumShards() != c.shards() {
 						t.Fatalf("restored %d shards, want the file's %d", index.NumShards(), c.shards())
 					}
-					// First, before any query warms the heat counters.
+					// The restored index re-encodes to the saved bytes.
 					if !bytes.Equal(canonical(t, index), canonical(t, s.index)) {
 						t.Fatal("restored index re-encodes to different bytes")
 					}

@@ -101,14 +101,18 @@ func quantize1(v, lo, hi float64) uint32 {
 	if span <= 0 {
 		return 0
 	}
-	cell := int64(math.Floor((v - lo) / span * gridSize))
-	if cell < 0 {
-		cell = 0
+	// Clamp in float64: converting a float outside the int64 range is
+	// implementation-defined in Go (amd64 yields MinInt64, arm64
+	// saturates), so a far-out coordinate must never reach the
+	// conversion. NaN fails f >= 0 and lands in cell 0.
+	f := math.Floor((v - lo) / span * gridSize)
+	if !(f >= 0) {
+		return 0
 	}
-	if cell >= gridSize {
-		cell = gridSize - 1
+	if f >= gridSize {
+		return gridSize - 1
 	}
-	return uint32(cell)
+	return uint32(f)
 }
 
 // HilbertKey returns the Hilbert distance of a point relative to world.

@@ -1,6 +1,7 @@
 package sfc
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -105,6 +106,23 @@ func TestQuantizeBounds(t *testing.T) {
 	// Degenerate world collapses to cell 0.
 	if x, y := Quantize(geom.Pt(3, 3), geom.NewRect(3, 3, 3, 3)); x != 0 || y != 0 {
 		t.Fatalf("degenerate world: (%d,%d)", x, y)
+	}
+}
+
+// TestQuantizeFarOutClampsToNearestEdge pins that coordinates beyond the
+// int64 range clamp to the near edge of the grid, the same on every CPU:
+// a far-right point must land in the last column, never wrap to cell 0.
+func TestQuantizeFarOutClampsToNearestEdge(t *testing.T) {
+	world := geom.NewRect(0, 0, 1, 1)
+	for _, v := range []float64{1e14, 1.5e14, 1e300, math.MaxFloat64, math.Inf(1)} {
+		if x, y := Quantize(geom.Pt(v, v), world); x != gridSize-1 || y != gridSize-1 {
+			t.Errorf("Quantize(%g, %g) = (%d, %d), want (%d, %d)", v, v, x, y, gridSize-1, gridSize-1)
+		}
+	}
+	for _, v := range []float64{-1e300, -math.MaxFloat64, math.Inf(-1), math.NaN()} {
+		if x, y := Quantize(geom.Pt(v, v), world); x != 0 || y != 0 {
+			t.Errorf("Quantize(%g, %g) = (%d, %d), want (0, 0)", v, v, x, y)
+		}
 	}
 }
 

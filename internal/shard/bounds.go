@@ -42,9 +42,7 @@ var emptyShardBounds = &shardBounds{}
 // on delete they shrink AFTER the tree mutation publishes, so bounds
 // never exclude an object a query can still see. Bounds may therefore be
 // loose (cover objects that are gone) but never unsafe, which is exactly
-// what answer-preserving pruning needs. Migration recomputes both
-// affected shards' aggregates tight from the cell records, under the
-// exclusive route lock.
+// what answer-preserving pruning needs.
 type boundsIndex struct {
 	cellMu [cellStripes]sync.Mutex
 	cells  []cellBounds
@@ -130,8 +128,8 @@ func (b *boundsIndex) shrinkShard(si int) {
 }
 
 // recompute rebuilds shard si's aggregate as the exact union of its
-// cells' summaries. Caller must hold the tree's route lock exclusively
-// (no concurrent cell writers), so the cell records may be read bare.
+// cells' summaries. Only Decode calls it, before the tree is shared, so
+// the cell records may be read bare.
 func (b *boundsIndex) recompute(si int, rt *Router) {
 	nb := &shardBounds{}
 	for c := range b.cells {

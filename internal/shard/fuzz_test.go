@@ -11,11 +11,12 @@ import (
 // cell-boundary straddlers, rects far outside the router grid, huge and
 // tiny extents — through the route→insert→search→delete round trip. The
 // properties: routing is total and in-range, stable (the same rect
-// routes identically every time, which Delete depends on), a routed
-// insert is findable by a fan-out query, and the routed delete removes
-// it again. The seed corpus under testdata/fuzz covers each adversarial
-// family; `go test -fuzz=FuzzShardRouter ./internal/shard` explores on
-// from there.
+// routes identically every time, which Delete depends on), a center
+// outside the world routes like its clamp onto the world's edge, a
+// routed insert is findable by a fan-out query, and the routed delete
+// removes it again. The seed corpus under testdata/fuzz covers each
+// adversarial family; `go test -fuzz=FuzzShardRouter ./internal/shard`
+// explores on from there.
 func FuzzShardRouter(f *testing.F) {
 	f.Add(0.0, 0.0, 0.0, 0.0, 1)                         // zero-area at the origin corner
 	f.Add(0.5, 0.5, 0.5, 0.5, 4)                         // zero-area grid-center point
@@ -25,7 +26,7 @@ func FuzzShardRouter(f *testing.F) {
 	f.Add(0.0, 0.0, 1.0, 1.0, 16)                        // the world rect itself
 	f.Add(1.0, 1.0, 1.0, 1.0, 2)                         // the far corner, on-boundary
 	f.Add(0.015625, 0.015625, 0.015625, 0.03125, 5)      // zero-width on a cell edge
-	f.Add(math.MaxFloat64, 0.0, math.MaxFloat64, 0.0, 4) // center overflows to +Inf? (Min+Max)/2
+	f.Add(math.MaxFloat64, 0.0, math.MaxFloat64, 0.0, 4) // center overflows to +Inf: (Min+Max)/2
 	f.Add(0.1, 0.2, 0.3, 0.4, 0)                         // shard count clamped to >= 1 by the harness
 
 	f.Fuzz(func(t *testing.T, x1, y1, x2, y2 float64, shards int) {
@@ -56,6 +57,14 @@ func FuzzShardRouter(f *testing.F) {
 				t.Fatalf("routing unstable: %d then %d", si, again)
 			}
 		}
+		// An out-of-world center routes like its clamp onto the world's
+		// edge: the MaxFloat64 seed's center (+Inf, 0) must route with
+		// the corner (1, 0), never wrap to the near edge.
+		c := r.Center()
+		clamped := geom.Pt(math.Min(math.Max(c.X, 0), 1), math.Min(math.Max(c.Y, 0), 1))
+		if want := router.Shard(geom.PointRect(clamped)); si != want {
+			t.Fatalf("rect %v (center %v) routed to shard %d, its clamp %v to shard %d", r, c, si, clamped, want)
+		}
 
 		// Insert → the object lands in the routed shard and a fan-out
 		// query over its own rect finds it.
@@ -70,30 +79,6 @@ func FuzzShardRouter(f *testing.F) {
 		}
 		if got, _ := s.KNN(r.Center(), 1); len(got) != 1 || got[0].Data != 42 {
 			t.Fatalf("KNN at center of the only object returned %v", got)
-		}
-
-		// Migrate the object's cell to another shard mid-lifetime: the
-		// routing table retargets, the object stays findable, and the
-		// routed delete below must follow it to the new shard.
-		if shards > 1 {
-			cell := router.Cell(r)
-			dst := (router.CellShard(cell) + 1) % shards
-			moved, err := s.MigrateCell(cell, dst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if moved != 1 {
-				t.Fatalf("migrating the object's cell moved %d objects, want 1", moved)
-			}
-			if got := router.Shard(r); got != dst {
-				t.Fatalf("after migration rect routes to shard %d, want %d", got, dst)
-			}
-			found = false
-			s.SearchEach(r, func(_ geom.Rect, d any) { found = found || d == 42 })
-			if !found {
-				t.Fatalf("rect %v lost by migrating its cell to shard %d", r, dst)
-			}
-			si = dst
 		}
 
 		// Delete routes back to the same shard and removes it.

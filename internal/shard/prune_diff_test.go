@@ -123,8 +123,7 @@ func auditPrunedShards(t *testing.T, s *ShardedTree, q geom.Rect) {
 
 // TestPrunedMatchesExhaustive is the main differential: four data
 // distributions × shard counts, runs of inserts with interleaved
-// deletes AND periodic cell migrations / rebalance steps, checkpointed
-// thrice against the fan-out-all oracle.
+// deletes, checkpointed thrice against the fan-out-all oracle.
 func TestPrunedMatchesExhaustive(t *testing.T) {
 	cases := []struct {
 		kind   dataset.Kind
@@ -159,17 +158,6 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 				ids[i] = ids[len(ids)-1]
 				ids = ids[:len(ids)-1]
 			}
-			churn := func() {
-				if c.shards < 2 {
-					return
-				}
-				if _, err := s.MigrateCell(rng.Intn(s.Router().Cells()), rng.Intn(c.shards)); err != nil {
-					t.Fatal(err)
-				}
-				if rng.Intn(4) == 0 {
-					s.RebalanceStep(8)
-				}
-			}
 			checkpoint := func(seed int64) {
 				rects := make([]geom.Rect, 0, len(ids))
 				for _, id := range ids {
@@ -182,7 +170,6 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 			}
 
 			thresholds := []int{n / 3, 2 * n / 3, n}
-			ops := 0
 			for next < n {
 				run := 1 + rng.Intn(8)
 				for j := 0; j < run && next < n; j++ {
@@ -190,9 +177,6 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 				}
 				for rng.Float64() < 0.35 && len(ids) > 50 {
 					deleteRandom()
-				}
-				if ops++; ops%37 == 0 {
-					churn()
 				}
 				for len(thresholds) > 0 && next >= thresholds[0] {
 					checkpoint(int64(thresholds[0]))
@@ -203,24 +187,32 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestPrunedExactUnderConcurrentMigration pins the routeMu exclusion
-// argument: migration is content-preserving and holds the route lock
-// exclusively, so a pruned query concurrent with arbitrary cell
-// migration and rebalancing must keep returning the *precomputed*
-// answer — never a torn view where a cell's objects are missed or
-// double-counted mid-move.
-func TestPrunedExactUnderConcurrentMigration(t *testing.T) {
+// TestPrunedExactUnderConcurrentChurn pins the conservative-cover
+// invariant under concurrency: a writer inserts and deletes objects that
+// lie outside every query window and beyond every query point's kth
+// neighbor, in every shard, so the cell and shard bounds grow and shrink
+// under the readers — the last shard holds nothing else, so its
+// aggregate flips between empty and non-empty — while the answers cannot
+// change. Pruned queries must keep returning the *precomputed* answers;
+// a bounds update published out of order would hide a live object.
+func TestPrunedExactUnderConcurrentChurn(t *testing.T) {
 	const (
-		n       = 3000
-		shards  = 4
-		k       = 20
-		readers = 2
-		iters   = 120
+		n        = 3000
+		shards   = 4
+		k        = 20
+		readers  = 2
+		iters    = 120
+		perBurst = 16
 	)
-	data := dataset.MustGenerate(dataset.SKE, n, 77)
 	s := newTestSharded(t, shards)
-	for i, r := range data {
+	router := s.Router()
+	base := 0
+	for i, r := range dataset.MustGenerate(dataset.SKE, n, 77) {
+		if router.Shard(r) == shards-1 {
+			continue // the last shard is left to the churn writer
+		}
 		s.Insert(r, i)
+		base++
 	}
 
 	world := geom.NewRect(0, 0, 1, 1)
@@ -239,25 +231,63 @@ func TestPrunedExactUnderConcurrentMigration(t *testing.T) {
 		}
 	}
 
+	// Churn objects: small squares that miss every window and lie
+	// strictly beyond every query point's kth neighbor, an equal number
+	// routed to each shard.
+	harmless := func(r geom.Rect) bool {
+		for _, q := range queries {
+			if r.Intersects(q) {
+				return false
+			}
+		}
+		for i, p := range points {
+			if r.MinDistSq(p) <= expDists[i][k-1] {
+				return false
+			}
+		}
+		return true
+	}
+	perShard := make([][]geom.Rect, shards)
+	rng := rand.New(rand.NewSource(5))
+	for filled := 0; filled < shards; {
+		r := geom.Square(rng.Float64(), rng.Float64(), 0.01)
+		si := router.Shard(r)
+		if len(perShard[si]) == perBurst || !harmless(r) {
+			continue
+		}
+		if perShard[si] = append(perShard[si], r); len(perShard[si]) == perBurst {
+			filled++
+		}
+	}
+
 	stop := make(chan struct{})
-	var migWG, readWG sync.WaitGroup
-	migWG.Add(1)
+	var churnWG, readWG sync.WaitGroup
+	churnWG.Add(1)
 	go func() {
-		defer migWG.Done()
-		rng := rand.New(rand.NewSource(5))
-		cells := s.Router().Cells()
-		for {
+		defer churnWG.Done()
+		for round := 0; ; round++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if _, err := s.MigrateCell(rng.Intn(cells), rng.Intn(shards)); err != nil {
-				t.Error(err)
-				return
+			rects := perShard[round%shards]
+			ids := make([]any, len(rects))
+			for j := range rects {
+				ids[j] = n + j
 			}
-			if rng.Intn(8) == 0 {
-				s.RebalanceStep(16)
+			if (round/shards)%2 == 0 {
+				s.InsertBatch(rects, ids)
+			} else {
+				for j, r := range rects {
+					s.Insert(r, ids[j])
+				}
+			}
+			for j, r := range rects {
+				if !s.Delete(r, ids[j]) {
+					t.Errorf("round %d: churn object %d undeletable", round, j)
+					return
+				}
 			}
 		}
 	}()
@@ -272,7 +302,7 @@ func TestPrunedExactUnderConcurrentMigration(t *testing.T) {
 				for i, q := range queries {
 					dst, _ = s.SearchAppend(q, dst[:0])
 					if got := sortedIDs(t, dst); !equalInts(got, expected[i]) {
-						t.Errorf("reader %d iter %d query %d: pruned result drifted under concurrent migration (%d ids, want %d)",
+						t.Errorf("reader %d iter %d query %d: pruned result drifted under concurrent churn (%d ids, want %d)",
 							r, iter, i, len(got), len(expected[i]))
 						return
 					}
@@ -297,10 +327,13 @@ func TestPrunedExactUnderConcurrentMigration(t *testing.T) {
 	}
 	readWG.Wait()
 	close(stop)
-	migWG.Wait()
+	churnWG.Wait()
 
-	if got := s.Len(); got != n {
-		t.Fatalf("migration churn changed Len to %d, want %d", got, n)
+	if got := s.Len(); got != base {
+		t.Fatalf("churn changed Len to %d, want %d", got, base)
+	}
+	if b := s.bounds.shard(shards - 1); b.count != 0 || b.rect != (geom.Rect{}) {
+		t.Fatalf("churn-only shard bounds %+v after churn, want empty", *b)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)

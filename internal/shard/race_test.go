@@ -13,9 +13,8 @@ import (
 )
 
 // TestShardedConcurrentHammer mixes inserters, a deleter, range and KNN
-// readers, a cell migrator (exclusive route-lock path), a stats poller
-// and a snapshot encoder across shards — the whole public surface at
-// once. Run under -race (CI does): the test's
+// readers, a stats poller and a snapshot encoder across shards — the
+// whole public surface at once. Run under -race (CI does): the test's
 // assertions are weak sanity checks; the payload is the race detector
 // proving the per-shard locking composes.
 func TestShardedConcurrentHammer(t *testing.T) {
@@ -92,25 +91,6 @@ func TestShardedConcurrentHammer(t *testing.T) {
 			}
 		}()
 	}
-
-	// Migrator: cell migrations and rebalance steps under full churn —
-	// the route lock's exclusive path racing every shared-path user
-	// above. Content preservation is asserted by the final Len check.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(23))
-		cells := s.Router().Cells()
-		for i := 0; i < 150; i++ {
-			if _, err := s.MigrateCell(rng.Intn(cells), rng.Intn(s.NumShards())); err != nil {
-				t.Errorf("migrate under churn: %v", err)
-				return
-			}
-			if i%10 == 0 {
-				s.RebalanceStep(8)
-			}
-		}
-	}()
 
 	// Stats poller and snapshot encoder.
 	wg.Add(1)

@@ -15,23 +15,19 @@ import (
 // byte blocks so each shard's block is exactly rtree.(*Tree).Encode's
 // format.
 //
-// The adaptive-routing state travels with the trees: the cell→shard
-// assignment (restoring with the wrong table would route deletes to the
-// wrong shards), the per-cell heat counters (so a restart does not
-// forget the observed workload), and the cell/shard bounds summaries.
-// The bounds must travel in the snapshot rather than be rebuilt tight
-// from the trees: they are maintained incrementally and may be loose
-// after deletes, and the round-trip tests pin query *stats* identity
-// between an index and its restored copy — identical pruning decisions
-// require identical bounds.
+// The router is a pure function of (GridBits, World, shard count), so
+// those three are all the routing state a snapshot needs. The cell/shard
+// bounds summaries travel with the trees: they must be in the snapshot
+// rather than be rebuilt tight from the trees, because they are
+// maintained incrementally and may be loose after deletes, and the
+// round-trip tests pin query *stats* identity between an index and its
+// restored copy — identical pruning decisions require identical bounds.
 type wireSharded struct {
 	Version  int
 	GridBits int
 	World    geom.Rect
 	Shards   [][]byte
 
-	Assign     []int32     // cell → shard
-	Heat       []uint64    // cell → decayed heat counter
 	CellRects  []geom.Rect // cell → bounds cover ({} when empty)
 	CellCounts []int64     // cell → live object count
 	ShardRects []geom.Rect // shard → aggregate bounds cover ({} when empty)
@@ -49,26 +45,20 @@ func (s *ShardedTree) EncodeSnapshot(w io.Writer) error {
 	return s.PrepareSnapshot()(w)
 }
 
-// PrepareSnapshot clones every shard's published epoch *now* — together
-// with the cell→shard assignment, heat and bounds tables, all captured
-// under the shared route lock so no cell migration intervenes — and
-// returns an encoder over the private captures to run later: the serving
-// layer captures the clones and the WAL's last LSN at one consistent
-// instant, then encodes outside all locks.
+// PrepareSnapshot clones every shard's published epoch *now*, together
+// with the bounds tables, and returns an encoder over the private
+// captures to run later: the serving layer captures the clones and the
+// WAL's last LSN at one consistent instant, then encodes outside all
+// locks.
 func (s *ShardedTree) PrepareSnapshot() func(w io.Writer) error {
-	s.routeMu.RLock()
 	clones := make([]*rtree.Tree, len(s.shards))
 	for i, sh := range s.shards {
 		clones[i] = sh.Snapshot()
 	}
 	cells := s.router.Cells()
-	assign := make([]int32, cells)
-	heat := make([]uint64, cells)
 	cellRects := make([]geom.Rect, cells)
 	cellCounts := make([]int64, cells)
 	for c := 0; c < cells; c++ {
-		assign[c] = int32(s.router.CellShard(c))
-		heat[c] = s.heat[c].Load()
 		mu := &s.bounds.cellMu[c%cellStripes]
 		mu.Lock()
 		cellRects[c] = s.bounds.cells[c].rect
@@ -79,15 +69,12 @@ func (s *ShardedTree) PrepareSnapshot() func(w io.Writer) error {
 	for i := range s.shards {
 		shardRects[i] = s.bounds.shard(i).rect
 	}
-	s.routeMu.RUnlock()
 	return func(w io.Writer) error {
 		wt := wireSharded{
 			Version:    wireVersion,
 			GridBits:   s.opts.GridBits,
 			World:      s.opts.World,
 			Shards:     make([][]byte, len(clones)),
-			Assign:     assign,
-			Heat:       heat,
 			CellRects:  cellRects,
 			CellCounts: cellCounts,
 			ShardRects: shardRects,
@@ -107,16 +94,17 @@ func (s *ShardedTree) PrepareSnapshot() func(w io.Writer) error {
 }
 
 // Decode reads a sharded tree previously written by EncodeSnapshot. The
-// shard count, grid resolution, world frame and cell→shard assignment
-// come from the snapshot — they determine where every stored object
-// lives, so restoring with a different routing configuration would
-// break Delete. The serialized bounds are restored unioned with covers
-// rebuilt from the trees, so a snapshot captured under concurrent
-// writers still yields conservative bounds. Every restored shard is validated (rtree.Decode runs the
+// shard count, grid resolution and world frame come from the snapshot —
+// they determine where every stored object lives, so restoring with a
+// different routing configuration would break Delete. The serialized
+// bounds are restored unioned with covers rebuilt from the trees, so a
+// snapshot captured under concurrent writers still yields conservative
+// bounds. Every restored shard is validated (rtree.Decode runs the
 // invariant checker) and every restored object is checked to route to
-// the shard that holds it. opts.Tree supplies the insertion strategies
-// for future writes, exactly like rtree.Decode; its Shards/GridBits/
-// World fields are ignored.
+// the shard that holds it — which is also what refuses a payload from a
+// build with cell migration whose objects sit off the fixed router.
+// opts.Tree supplies the insertion strategies for future writes, exactly
+// like rtree.Decode; its Shards/GridBits/World fields are ignored.
 func Decode(r io.Reader, opts Options) (*ShardedTree, error) {
 	var wt wireSharded
 	if err := gob.NewDecoder(r).Decode(&wt); err != nil {
@@ -136,20 +124,8 @@ func Decode(r io.Reader, opts Options) (*ShardedTree, error) {
 		return nil, err
 	}
 	cells := s.router.Cells()
-	if len(wt.Assign) != cells {
-		return nil, fmt.Errorf("shard: snapshot assignment table has %d cells, want %d", len(wt.Assign), cells)
-	}
-	for c, a := range wt.Assign {
-		if int(a) < 0 || int(a) >= opts.Shards {
-			return nil, fmt.Errorf("shard: snapshot assigns cell %d to shard %d of %d", c, a, opts.Shards)
-		}
-	}
-	if len(wt.Heat) != cells || len(wt.CellRects) != cells || len(wt.CellCounts) != cells || len(wt.ShardRects) != opts.Shards {
+	if len(wt.CellRects) != cells || len(wt.CellCounts) != cells || len(wt.ShardRects) != opts.Shards {
 		return nil, fmt.Errorf("shard: snapshot cell tables malformed")
-	}
-	s.router = newRouterAssigned(wt.World, wt.GridBits, opts.Shards, wt.Assign)
-	for c := range wt.Heat {
-		s.heat[c].Store(wt.Heat[c])
 	}
 	walked := make([]cellBounds, cells)
 	for i, blob := range wt.Shards {
@@ -194,4 +170,19 @@ func Decode(r io.Reader, opts Options) (*ShardedTree, error) {
 		}
 	}
 	return s, nil
+}
+
+// forEachLeafEntry streams every stored (rect, data) pair of t.
+func forEachLeafEntry(t *rtree.Tree, fn func(geom.Rect, any)) {
+	var walk func(n *rtree.Node)
+	walk = func(n *rtree.Node) {
+		for j, e := range n.Entries() {
+			if n.IsLeaf() {
+				fn(e.Rect, e.Data)
+				continue
+			}
+			walk(n.ChildAt(j))
+		}
+	}
+	walk(t.Root())
 }

@@ -2,11 +2,15 @@ package shard
 
 import (
 	"bytes"
+	"encoding/gob"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/rlr-tree/rlrtree/internal/dataset"
 	"github.com/rlr-tree/rlrtree/internal/geom"
+	"github.com/rlr-tree/rlrtree/internal/rtree"
 )
 
 // TestSnapshotRoundTrip extends the single-tree gob round-trip pattern
@@ -104,12 +108,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripAfterMigration is the adaptive-routing contract: the
-// migrated cell→shard assignment, the heat counters and the (possibly
-// loose, post-delete) bounds summaries all survive the round trip, so
-// the restored tree makes the *identical pruning decisions* — pinned by
-// requiring full QueryStats equality — and re-encodes byte-for-byte.
-func TestSnapshotRoundTripAfterMigration(t *testing.T) {
+// TestSnapshotRoundTripLooseBounds: the (loose, post-delete) bounds
+// summaries survive the round trip verbatim, so the restored tree makes
+// the *identical pruning decisions* — pinned by requiring full
+// QueryStats equality — and re-encodes byte-for-byte.
+func TestSnapshotRoundTripLooseBounds(t *testing.T) {
 	const n = 2000
 	data := dataset.MustGenerate(dataset.GAU, n, 19)
 	s := newTestSharded(t, 4)
@@ -117,12 +120,6 @@ func TestSnapshotRoundTripAfterMigration(t *testing.T) {
 		s.Insert(r, i)
 	}
 	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 40; i++ {
-		if _, err := s.MigrateCell(rng.Intn(s.Router().Cells()), rng.Intn(4)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.RebalanceStep(32)
 	// Deletes leave the incremental bounds loose — exactly the state the
 	// snapshot must carry verbatim for restored pruning to match.
 	for i := 0; i < n/4; i++ {
@@ -137,17 +134,8 @@ func TestSnapshotRoundTripAfterMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for c := 0; c < s.Router().Cells(); c++ {
-		if got, want := restored.Router().CellShard(c), s.Router().CellShard(c); got != want {
-			t.Fatalf("cell %d restored to shard %d, want the migrated assignment %d", c, got, want)
-		}
-		if got, want := restored.CellHeat(c), s.CellHeat(c); got != want {
-			t.Fatalf("cell %d heat restored to %d, want %d", c, got, want)
-		}
-	}
 	if err := restored.Validate(); err != nil {
-		t.Fatalf("restored migrated tree invalid: %v", err)
+		t.Fatalf("restored tree invalid: %v", err)
 	}
 
 	var buf2 bytes.Buffer
@@ -155,7 +143,7 @@ func TestSnapshotRoundTripAfterMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
-		t.Fatalf("re-encoded migrated snapshot differs: %d vs %d bytes", buf1.Len(), buf2.Len())
+		t.Fatalf("re-encoded snapshot differs: %d vs %d bytes", buf1.Len(), buf2.Len())
 	}
 
 	world := geom.NewRect(0, 0, 1, 1)
@@ -163,7 +151,7 @@ func TestSnapshotRoundTripAfterMigration(t *testing.T) {
 		wantRes, wantStats := s.Search(q)
 		gotRes, gotStats := restored.Search(q)
 		if !equalInts(sortedIDs(t, wantRes), sortedIDs(t, gotRes)) {
-			t.Fatalf("query %d: result sets differ after migrated round trip", qi)
+			t.Fatalf("query %d: result sets differ after round trip", qi)
 		}
 		if gotStats != wantStats {
 			t.Fatalf("query %d: stats %+v, want %+v (pruning decisions must round-trip)", qi, gotStats, wantStats)
@@ -176,6 +164,123 @@ func TestSnapshotRoundTripAfterMigration(t *testing.T) {
 		if len(got) != len(want) || gotStats != wantStats {
 			t.Fatalf("KNN %d: %d/%+v, want %d/%+v", i, len(got), gotStats, len(want), wantStats)
 		}
+	}
+}
+
+// legacyWireSharded is the payload shape of builds that still had cell
+// migration: wireSharded plus the cell→shard table and per-cell heat.
+type legacyWireSharded struct {
+	Version    int
+	GridBits   int
+	World      geom.Rect
+	Shards     [][]byte
+	Assign     []int32
+	Heat       []uint64
+	CellRects  []geom.Rect
+	CellCounts []int64
+	ShardRects []geom.Rect
+}
+
+// TestDecodeLegacyPayload: a payload from a build with cell migration
+// decodes as long as its objects sit where the fixed router puts them —
+// gob skips the Assign and Heat fields — and one whose non-empty cell
+// had been migrated away is refused by the per-object routing check,
+// naming the misplaced object, instead of loading a tree whose deletes
+// would miss.
+func TestDecodeLegacyPayload(t *testing.T) {
+	const shards = 4
+	s := newTestSharded(t, shards)
+	data := dataset.MustGenerate(dataset.UNI, 1500, 31)
+	for i, r := range data {
+		s.Insert(r, i)
+	}
+	var cur bytes.Buffer
+	if err := s.EncodeSnapshot(&cur); err != nil {
+		t.Fatal(err)
+	}
+	var wt legacyWireSharded
+	if err := gob.NewDecoder(&cur).Decode(&wt); err != nil {
+		t.Fatal(err)
+	}
+	cells := s.Router().Cells()
+	wt.Assign = make([]int32, cells)
+	wt.Heat = make([]uint64, cells)
+	for c := range wt.Assign {
+		wt.Assign[c] = int32(c * shards / cells)
+		wt.Heat[c] = uint64(c % 7)
+	}
+	encode := func(wt legacyWireSharded) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(wt); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	restored, err := Decode(bytes.NewReader(encode(wt)), Options{Tree: testTreeOpts()})
+	if err != nil {
+		t.Fatalf("default-table legacy payload refused: %v", err)
+	}
+	if err := restored.Validate(); err != nil {
+		t.Fatalf("restored legacy payload invalid: %v", err)
+	}
+	if restored.Len() != len(data) {
+		t.Fatalf("restored %d objects, want %d", restored.Len(), len(data))
+	}
+
+	// Migrate the first non-empty cell of shard 0 to shard 1 the way the
+	// old builds did: move its objects between the shard trees and
+	// retarget the table entry.
+	cell := -1
+	for c := 0; c < cells && cell < 0; c++ {
+		if wt.CellCounts[c] > 0 && int(wt.Assign[c]) == 0 {
+			cell = c
+		}
+	}
+	if cell < 0 {
+		t.Fatal("no occupied cell on shard 0")
+	}
+	trees := make([]*rtree.Tree, 2)
+	for i := range trees {
+		if trees[i], err = rtree.Decode(bytes.NewReader(wt.Shards[i]), testTreeOpts()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var moved []any
+	var rects []geom.Rect
+	forEachLeafEntry(trees[0], func(r geom.Rect, d any) {
+		if s.Router().Cell(r) == cell {
+			rects = append(rects, r)
+			moved = append(moved, d)
+		}
+	})
+	for i, r := range rects {
+		if !trees[0].Delete(r, moved[i]) {
+			t.Fatalf("object %v missing from shard 0", moved[i])
+		}
+		trees[1].Insert(r, moved[i])
+		wt.ShardRects[1] = wt.ShardRects[1].Union(r)
+	}
+	for i, tr := range trees {
+		var buf bytes.Buffer
+		if err := tr.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		wt.Shards[i] = buf.Bytes()
+	}
+	wt.Assign[cell] = 1
+
+	_, err = Decode(bytes.NewReader(encode(wt)), Options{Tree: testTreeOpts()})
+	if err == nil {
+		t.Fatalf("payload with cell %d migrated to shard 1 decoded; its %d objects would route to shard 0", cell, len(moved))
+	}
+	named := false
+	for _, d := range moved {
+		named = named || strings.Contains(err.Error(), fmt.Sprintf("snapshot object %v ", d))
+	}
+	if !named || !strings.Contains(err.Error(), "stored in shard 1 routes to shard 0") {
+		t.Fatalf("refusal %q does not name a moved object %v", err, moved)
 	}
 }
 

@@ -19,8 +19,8 @@ type Options struct {
 	// read path.
 	Shards int
 	// GridBits is the router grid resolution in bits per dimension
-	// (default DefaultGridBits). Must be in [1, 8]: the cell→shard map,
-	// heat counters and bounds summaries are dense 2^(2·GridBits) tables.
+	// (default DefaultGridBits). Must be in [1, 8]: the cell bounds
+	// summaries are a dense 2^(2·GridBits) table.
 	GridBits int
 	// World is the router frame (default the unit square). Objects whose
 	// centers fall outside clamp into the boundary cells; they are stored
@@ -36,17 +36,15 @@ type Options struct {
 // sequentially. Below it the spawn cost exceeds the probe cost.
 const parallelFanoutMin = 2
 
-// FanoutStats are the cumulative query fan-out and migration counters of
-// a ShardedTree, exposed through /stats and expvar by the server. The
+// FanoutStats are the cumulative query fan-out counters of a
+// ShardedTree, exposed through /stats and expvar by the server. The
 // pruning headline is ShardsProbed/Queries — the average number of
 // shards a query actually descended into; ShardsPruned counts the
 // shard probes the bounds summaries skipped.
 type FanoutStats struct {
-	Queries       uint64 `json:"queries"`
-	ShardsProbed  uint64 `json:"shards_probed"`
-	ShardsPruned  uint64 `json:"shards_pruned"`
-	CellsMigrated uint64 `json:"cells_migrated"`
-	ObjectsMoved  uint64 `json:"objects_moved"`
+	Queries      uint64 `json:"queries"`
+	ShardsProbed uint64 `json:"shards_probed"`
+	ShardsPruned uint64 `json:"shards_pruned"`
 }
 
 // ShardedTree is a space-partitioned index over N ConcurrentTree shards.
@@ -54,46 +52,30 @@ type FanoutStats struct {
 // center, so writers to different shards proceed in parallel. Queries
 // consult per-shard bounds summaries (see boundsIndex) and probe only
 // the shards whose bounds intersect the query — for selective queries
-// over the contiguous default cell assignment that is typically one or
+// over the router's contiguous Z-runs that is typically one or
 // two shards, not all N — and KNN probes shards best-first by bound
 // mindist, stopping when the next shard cannot beat the current kth
-// neighbor. Per-cell insert/query heat counters feed RebalanceStep,
-// which migrates hot cells between shards online. All methods are safe
-// for concurrent use.
+// neighbor. All methods are safe for concurrent use.
 //
 // Consistency: each individual operation is atomic within its shard, but
 // a fan-out query pins each shard's published epoch one at a time, so it
 // observes each shard at a slightly different instant. A query
 // concurrent with a write may or may not see that write — the same
 // guarantee a single ConcurrentTree gives — but never a torn shard.
-// Reads never block behind writers (see rtree.ConcurrentTree); routed
-// operations additionally take routeMu shared, which only cell migration
-// holds exclusively, so queries and writers keep running concurrently
-// with each other and only migration briefly excludes them.
+// Reads never block behind writers (see rtree.ConcurrentTree), and the
+// router is an immutable function, so queries take no lock at all and a
+// routed write takes only its shard's writer mutex and the bounds locks.
 type ShardedTree struct {
 	shards []*rtree.ConcurrentTree
 	router Router
 	opts   Options
-
-	// routeMu orders whole operations against cell migration: every
-	// routed mutation and every fan-out query holds it shared; MigrateCell
-	// and RebalanceStep hold it exclusively while they move a cell's
-	// objects and retarget the cell. Queries therefore never observe the
-	// mid-migration window where a cell's objects exist in two shards.
-	// Lock order: Server.walMu before routeMu (migration takes only
-	// routeMu, so the order is acyclic); routeMu is acquired before any
-	// epoch pin and never while holding one.
-	routeMu sync.RWMutex
-	bounds  *boundsIndex
-	heat    []atomic.Uint64 // per-cell insert+query heat, decayed by RebalanceStep
+	bounds *boundsIndex
 
 	scratch sync.Pool // *fanoutScratch
 
-	cQueries       atomic.Uint64
-	cShardsProbed  atomic.Uint64
-	cShardsPruned  atomic.Uint64
-	cCellsMigrated atomic.Uint64
-	cObjectsMoved  atomic.Uint64
+	cQueries      atomic.Uint64
+	cShardsProbed atomic.Uint64
+	cShardsPruned atomic.Uint64
 }
 
 // New returns an empty sharded tree, or an error if the options are
@@ -131,15 +113,13 @@ func New(opts Options) (*ShardedTree, error) {
 		router: router,
 		opts:   opts,
 		bounds: newBoundsIndex(router.Cells(), opts.Shards),
-		heat:   make([]atomic.Uint64, router.Cells()),
 	}, nil
 }
 
 // NumShards returns the shard count.
 func (s *ShardedTree) NumShards() int { return len(s.shards) }
 
-// Router returns the routing function, for inspection and tests. The
-// copy shares the live assignment table, so it observes migrations.
+// Router returns the routing function, for inspection and tests.
 func (s *ShardedTree) Router() Router { return s.router }
 
 // Shard returns shard i's ConcurrentTree for direct read-side use
@@ -150,20 +130,14 @@ func (s *ShardedTree) Router() Router { return s.router }
 // ShardedTree will miss them.
 func (s *ShardedTree) Shard(i int) *rtree.ConcurrentTree { return s.shards[i] }
 
-// FanoutStats returns the cumulative fan-out and migration counters.
+// FanoutStats returns the cumulative fan-out counters.
 func (s *ShardedTree) FanoutStats() FanoutStats {
 	return FanoutStats{
-		Queries:       s.cQueries.Load(),
-		ShardsProbed:  s.cShardsProbed.Load(),
-		ShardsPruned:  s.cShardsPruned.Load(),
-		CellsMigrated: s.cCellsMigrated.Load(),
-		ObjectsMoved:  s.cObjectsMoved.Load(),
+		Queries:      s.cQueries.Load(),
+		ShardsProbed: s.cShardsProbed.Load(),
+		ShardsPruned: s.cShardsPruned.Load(),
 	}
 }
-
-// CellHeat returns cell c's current heat counter, for inspection and
-// tests.
-func (s *ShardedTree) CellHeat(c int) uint64 { return s.heat[c].Load() }
 
 // countFanout records one query that probed `probed` of the shards.
 func (s *ShardedTree) countFanout(probed int) {
@@ -172,22 +146,13 @@ func (s *ShardedTree) countFanout(probed int) {
 	s.cShardsPruned.Add(uint64(len(s.shards) - probed))
 }
 
-// noteQueryHeat heats the cell at the query's focus so read-heavy cells
-// attract rebalancing even without inserts.
-func (s *ShardedTree) noteQueryHeat(q geom.Rect) {
-	s.heat[s.router.Cell(q)].Add(1)
-}
-
 // Insert routes the object to its shard and inserts it under that
 // shard's writer mutex; shard queries keep reading the previous epoch
 // until the insert publishes. The cell and shard bounds grow before the
 // insert publishes, so pruning never hides a visible object.
 func (s *ShardedTree) Insert(r geom.Rect, data any) {
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
 	c := s.router.Cell(r)
 	si := s.router.CellShard(c)
-	s.heat[c].Add(1)
 	s.bounds.growCell(c, r)
 	s.bounds.growShard(si, r, 1)
 	s.shards[si].Insert(r, data)
@@ -203,13 +168,10 @@ func (s *ShardedTree) InsertBatch(rects []geom.Rect, data []any) {
 	if len(rects) == 0 {
 		return
 	}
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
 	if len(s.shards) == 1 {
 		var u geom.Rect
 		for i, r := range rects {
 			c := s.router.Cell(r)
-			s.heat[c].Add(1)
 			s.bounds.growCell(c, r)
 			if i == 0 {
 				u = r
@@ -227,7 +189,6 @@ func (s *ShardedTree) InsertBatch(rects []geom.Rect, data []any) {
 	for i, r := range rects {
 		c := s.router.Cell(r)
 		si := s.router.CellShard(c)
-		s.heat[c].Add(1)
 		s.bounds.growCell(c, r)
 		if len(groupRects[si]) == 0 {
 			groupRect[si] = r
@@ -259,8 +220,6 @@ func (s *ShardedTree) InsertBatch(rects []geom.Rect, data []any) {
 // shrink until a cell or shard empties — see boundsIndex), so pruning
 // stays conservative.
 func (s *ShardedTree) Delete(r geom.Rect, data any) bool {
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
 	c := s.router.Cell(r)
 	si := s.router.CellShard(c)
 	ok := s.shards[si].Delete(r, data)
@@ -348,7 +307,7 @@ func (s *ShardedTree) countWorker(fs *fanoutScratch, q geom.Rect, slot int) {
 
 // collectSurvivors fills fs.survivors with the shards whose bounds
 // intersect q, in ascending shard index, and records the fan-out
-// counters. Caller holds routeMu shared.
+// counters.
 func (s *ShardedTree) collectSurvivors(fs *fanoutScratch, q geom.Rect) {
 	for i := range s.shards {
 		b := s.bounds.shard(i)
@@ -384,9 +343,6 @@ func (s *ShardedTree) SearchAppend(q geom.Rect, dst []any) ([]any, rtree.QuerySt
 		s.countFanout(1)
 		return s.shards[0].SearchAppend(q, dst)
 	}
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
-	s.noteQueryHeat(q)
 	fs := s.getScratch()
 	defer s.putScratch(fs)
 	s.collectSurvivors(fs, q)
@@ -420,9 +376,6 @@ func (s *ShardedTree) SearchCount(q geom.Rect) rtree.QueryStats {
 		s.countFanout(1)
 		return s.shards[0].SearchCount(q)
 	}
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
-	s.noteQueryHeat(q)
 	fs := s.getScratch()
 	defer s.putScratch(fs)
 	s.collectSurvivors(fs, q)
@@ -450,16 +403,12 @@ func (s *ShardedTree) SearchCount(q geom.Rect) rtree.QueryStats {
 // fn must not call mutating methods of the sharded tree (a shard's epoch
 // is pinned and a mutation would deadlock waiting for it to drain) and
 // must not block: a pinned epoch stalls that shard's writers' arena
-// reclamation, and the route lock held for the duration of the stream
-// stalls cell migration.
+// reclamation.
 func (s *ShardedTree) SearchEach(q geom.Rect, fn func(geom.Rect, any)) rtree.QueryStats {
 	if len(s.shards) == 1 {
 		s.countFanout(1)
 		return s.shards[0].SearchEach(q, fn)
 	}
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
-	s.noteQueryHeat(q)
 	var stats rtree.QueryStats
 	probed := 0
 	for i := range s.shards {
@@ -484,9 +433,6 @@ func (s *ShardedTree) ContainsPoint(p geom.Point) (bool, rtree.QueryStats) {
 		s.countFanout(1)
 		return s.shards[0].ContainsPoint(p)
 	}
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
-	s.noteQueryHeat(geom.PointRect(p))
 	var stats rtree.QueryStats
 	probed := 0
 	hit := false
@@ -541,9 +487,6 @@ func (s *ShardedTree) KNNAppend(p geom.Point, k int, dst []rtree.Neighbor) ([]rt
 		s.countFanout(1)
 		return s.shards[0].KNNAppend(p, k, dst)
 	}
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
-	s.noteQueryHeat(geom.PointRect(p))
 	fs := s.getScratch()
 	defer s.putScratch(fs)
 	for i := range s.shards {
@@ -603,8 +546,6 @@ func (s *ShardedTree) KNNAppend(p geom.Point, k int, dst []rtree.Neighbor) ([]rt
 // every shard in index order, no pruning. Kept private for the
 // differential suite and the pruning benchmarks.
 func (s *ShardedTree) searchAppendAll(q geom.Rect, dst []any) ([]any, rtree.QueryStats) {
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
 	var stats rtree.QueryStats
 	for _, sh := range s.shards {
 		var st rtree.QueryStats
@@ -616,8 +557,6 @@ func (s *ShardedTree) searchAppendAll(q geom.Rect, dst []any) ([]any, rtree.Quer
 
 // searchCountAll is the fan-out-all oracle for SearchCount.
 func (s *ShardedTree) searchCountAll(q geom.Rect) rtree.QueryStats {
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
 	var stats rtree.QueryStats
 	for _, sh := range s.shards {
 		addStats(&stats, sh.SearchCount(q))
@@ -627,8 +566,6 @@ func (s *ShardedTree) searchCountAll(q geom.Rect) rtree.QueryStats {
 
 // containsPointAll is the fan-out-all oracle for ContainsPoint.
 func (s *ShardedTree) containsPointAll(p geom.Point) (bool, rtree.QueryStats) {
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
 	var stats rtree.QueryStats
 	for _, sh := range s.shards {
 		ok, st := sh.ContainsPoint(p)
@@ -647,8 +584,6 @@ func (s *ShardedTree) knnAppendAll(p geom.Point, k int, dst []rtree.Neighbor) ([
 	if k <= 0 {
 		return dst, stats
 	}
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
 	start := len(dst)
 	for _, sh := range s.shards {
 		var st rtree.QueryStats
@@ -667,11 +602,8 @@ func (s *ShardedTree) knnAppendAll(p geom.Point, k int, dst []rtree.Neighbor) ([
 
 // Len returns the total object count, summed over each shard's current
 // epoch; concurrent writers may make the sum momentarily stale, never
-// torn. The route lock is held shared so a mid-migration cell (briefly
-// present in two shards) is never double-counted.
+// torn.
 func (s *ShardedTree) Len() int {
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
 	n := 0
 	for _, sh := range s.shards {
 		n += sh.Len()
@@ -706,8 +638,6 @@ func (s *ShardedTree) Stats() rtree.TreeStats {
 // ShardStats returns each shard's structural statistics, indexed by
 // shard number.
 func (s *ShardedTree) ShardStats() []rtree.TreeStats {
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
 	out := make([]rtree.TreeStats, len(s.shards))
 	for i, sh := range s.shards {
 		sh.View(func(t *rtree.Tree) { out[i] = t.Stats() })
@@ -717,16 +647,14 @@ func (s *ShardedTree) ShardStats() []rtree.TreeStats {
 
 // Validate checks every shard's full R-Tree invariant set and, on top,
 // the partitioning invariants this package adds: every stored object
-// lives in the shard its cell is currently assigned to (otherwise
-// Delete would miss it), its cell's bounds cover it, the per-cell
-// counts match the stored population exactly, and each shard's
-// published aggregate covers the shard's root MBR with a count equal to
-// its size (otherwise pruning could hide live objects). Takes the route
-// lock exclusively, so it sees a quiescent cell map. Used pervasively
+// lives in the shard its cell routes to (otherwise Delete would miss
+// it), its cell's bounds cover it, the per-cell counts match the stored
+// population exactly, and each shard's published aggregate covers the
+// shard's root MBR with a count equal to its size (otherwise pruning
+// could hide live objects). It reads the cell records bare, so call it
+// on quiescent states only, with no concurrent writers. Used pervasively
 // by the property and differential tests.
 func (s *ShardedTree) Validate() error {
-	s.routeMu.Lock()
-	defer s.routeMu.Unlock()
 	cellCounts := make([]int64, s.router.Cells())
 	for i, sh := range s.shards {
 		var err error
@@ -761,9 +689,9 @@ func (s *ShardedTree) Validate() error {
 }
 
 // validateRouting walks shard i's leaves and checks each object's cell
-// is assigned to shard i and its cell bounds cover it, accumulating the
+// routes to shard i and its cell bounds cover it, accumulating the
 // per-cell population. Called with the shard's epoch pinned (inside
-// View) and the route lock held exclusively.
+// View).
 func (s *ShardedTree) validateRouting(i int, t *rtree.Tree, cellCounts []int64) error {
 	var walk func(n *rtree.Node) error
 	walk = func(n *rtree.Node) error {

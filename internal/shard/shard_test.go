@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/rlr-tree/rlrtree/internal/dataset"
@@ -32,7 +33,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestRouterCoversAllShards(t *testing.T) {
 	// Uniform data must populate every shard for any modest shard count —
-	// the round-robin Z-cell assignment's balance property.
+	// the contiguous Z-run split's balance property.
 	data := dataset.MustGenerate(dataset.UNI, 4000, 2)
 	for _, n := range []int{2, 3, 4, 8, 16} {
 		r := NewRouter(geom.NewRect(0, 0, 1, 1), DefaultGridBits, n)
@@ -47,6 +48,44 @@ func TestRouterCoversAllShards(t *testing.T) {
 			// No shard should exceed 3x its fair share on uniform data.
 			if c > 3*len(data)/n {
 				t.Errorf("%d shards: shard %d holds %d of %d objects", n, i, c, len(data))
+			}
+		}
+	}
+}
+
+// TestRouterIsPure pins the router as a pure function of (world, grid
+// bits, shards): cell c goes to shard c·n/cells, two routers built from
+// the same arguments agree on every rectangle, and each shard owns one
+// contiguous run of the Z-order curve.
+func TestRouterIsPure(t *testing.T) {
+	world := geom.NewRect(0, 0, 1, 1)
+	for _, n := range []int{1, 2, 3, 4, 7, 8} {
+		a := NewRouter(world, DefaultGridBits, n)
+		b := NewRouter(world, DefaultGridBits, n)
+		cells := a.Cells()
+		prev := 0
+		for c := 0; c < cells; c++ {
+			got := a.CellShard(c)
+			if want := c * n / cells; got != want {
+				t.Fatalf("%d shards: cell %d on shard %d, want %d", n, c, got, want)
+			}
+			if got != prev && got != prev+1 {
+				t.Fatalf("%d shards: cell %d on shard %d after shard %d — not one Z-run per shard", n, c, got, prev)
+			}
+			prev = got
+		}
+		if prev != n-1 {
+			t.Fatalf("%d shards: the last cell is on shard %d, want %d", n, prev, n-1)
+		}
+		rng := rand.New(rand.NewSource(int64(n)))
+		for i := 0; i < 2000; i++ {
+			r := geom.Square(rng.Float64()*1.2-0.1, rng.Float64()*1.2-0.1, rng.Float64()*0.05)
+			if a.Cell(r) != b.Cell(r) || a.Shard(r) != b.Shard(r) {
+				t.Fatalf("%d shards: routers disagree on %v: cell %d/%d, shard %d/%d",
+					n, r, a.Cell(r), b.Cell(r), a.Shard(r), b.Shard(r))
+			}
+			if got, want := a.Shard(r), a.CellShard(a.Cell(r)); got != want {
+				t.Fatalf("%d shards: Shard(%v) = %d, CellShard(Cell) = %d", n, r, got, want)
 			}
 		}
 	}
