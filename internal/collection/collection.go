@@ -41,13 +41,18 @@ import (
 )
 
 // Spatial is the index contract the keyed layer needs: single-object
-// mutation plus the streaming range and KNN kernels. Both
+// and batch mutation plus the streaming range and KNN kernels. Both
 // *rtree.ConcurrentTree and *shard.ShardedTree satisfy it. The
 // collection stores each object's key string as the index payload, so a
 // restored index snapshot is self-describing.
 type Spatial interface {
 	Insert(r geom.Rect, data any)
 	Delete(r geom.Rect, data any) bool
+	// Apply runs a batch of inserts and deletes in order, leaving the
+	// index as the same Insert and Delete calls would, and returns how
+	// many deletes removed an object. Every delete names a stored
+	// object or one an earlier op inserts.
+	Apply(ops []rtree.Op) int
 	SearchEach(q geom.Rect, fn func(geom.Rect, any)) rtree.QueryStats
 	KNNAppend(p geom.Point, k int, dst []rtree.Neighbor) ([]rtree.Neighbor, rtree.QueryStats)
 	Len() int
@@ -103,6 +108,18 @@ type Collection struct {
 	sets    atomic.Uint64
 	moves   atomic.Uint64
 	dels    atomic.Uint64
+
+	// logOps is ApplyLog's reusable index batch, owned by whoever holds
+	// every stripe.
+	logOps []rtree.Op
+}
+
+// LogOp is one keyed write of a replayed log: Set(Key, Rect), or
+// Del(Key) when Del is set.
+type LogOp struct {
+	Key  string
+	Rect geom.Rect
+	Del  bool
 }
 
 // New returns an empty collection over ix.
@@ -175,6 +192,60 @@ func (c *Collection) Set(key string, r geom.Rect) SetResult {
 	c.objects.Add(1)
 	c.sets.Add(1)
 	return SetResult{}
+}
+
+// ApplyLog applies ops in order, leaving the key map, the counters and
+// every index tree exactly as the same Set and Del calls would, with
+// one index Apply for the whole batch instead of two mutations per
+// write. It holds every key stripe, so no Set or Del interleaves. The
+// key map is updated before the index batch publishes, so a concurrent
+// Get may see a batched position a moment early; recovery runs it
+// before anything reads.
+func (c *Collection) ApplyLog(ops []LogOp) {
+	for i := range c.stripes {
+		c.stripes[i].Lock()
+	}
+	defer func() {
+		for i := range c.stripes {
+			c.stripes[i].Unlock()
+		}
+	}()
+
+	batch := c.logOps[:0]
+	var sets, moves, dels uint64
+	objects := int64(0)
+	c.kmu.Lock()
+	for _, op := range ops {
+		prev, ok := c.keys[op.Key]
+		if ok {
+			batch = append(batch, rtree.Op{Rect: prev, Data: op.Key, Delete: true})
+		}
+		if op.Del {
+			if ok {
+				delete(c.keys, op.Key)
+				objects--
+				dels++
+			}
+			continue
+		}
+		batch = append(batch, rtree.Op{Rect: op.Rect, Data: op.Key})
+		c.keys[op.Key] = op.Rect
+		sets++
+		if ok {
+			moves++
+		} else {
+			objects++
+		}
+	}
+	c.kmu.Unlock()
+
+	c.ix.Apply(batch)
+	c.objects.Add(objects)
+	c.sets.Add(sets)
+	c.moves.Add(moves)
+	c.dels.Add(dels)
+	clear(batch) // drop the keys so the buffer pins nothing
+	c.logOps = batch[:0]
 }
 
 // Get returns key's current position.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"github.com/rlr-tree/rlrtree/internal/geom"
 	"github.com/rlr-tree/rlrtree/internal/rtree"
 )
@@ -80,19 +78,14 @@ func chooseStateInto(sc *chooseScratch, n *rtree.Node, r geom.Rect, k, maxEntrie
 		if cc.Contained >= 0 {
 			continue // shortcut will fire; skip featurizing
 		}
-		feats = append(feats, childFeature{
-			idx:       i,
-			dArea:     er.Enlargement(r),
-			dPeri:     er.PerimeterIncrease(r),
-			occupancy: float64(n.ChildAt(i).NumEntries()) / float64(maxEntries),
-		})
+		feats = append(feats, childFeature{idx: i, dArea: er.Enlargement(r)})
 	}
 	sc.feats = feats // retain grown capacity for the next call
 	if cc.Contained >= 0 {
 		return cc
 	}
 
-	// Sort by ΔArea ascending, breaking ties by the child's current MBR
+	// Order by ΔArea ascending, breaking ties by the child's current MBR
 	// area — Guttman's tie-break. Ties are frequent with small objects
 	// (many children need zero or equal enlargement), and without the
 	// secondary key the shortlist order, and therefore action 0, would be
@@ -102,13 +95,6 @@ func chooseStateInto(sc *chooseScratch, n *rtree.Node, r geom.Rect, k, maxEntrie
 	for i := range entries {
 		areas[i] = entries[i].Rect.Area()
 	}
-	sort.SliceStable(feats, func(a, b int) bool {
-		if feats[a].dArea != feats[b].dArea {
-			return feats[a].dArea < feats[b].dArea
-		}
-		return areas[feats[a].idx] < areas[feats[b].idx]
-	})
-
 	keep := k
 	if padded {
 		keep = len(feats)
@@ -116,20 +102,25 @@ func chooseStateInto(sc *chooseScratch, n *rtree.Node, r geom.Rect, k, maxEntrie
 	if keep > len(feats) {
 		keep = len(feats)
 	}
+	selectFeatures(feats, areas, keep)
 	feats = feats[:keep]
 
-	// Overlap increase is O(M) per candidate, so it is computed only for
-	// the shortlisted children.
+	// The other features are computed for the shortlist only: overlap
+	// increase is O(M) per child, and occupancy loads the child node, a
+	// cache miss per child.
 	for i := range feats {
-		grown := entries[feats[i].idx].Rect.Union(r)
+		er := entries[feats[i].idx].Rect
+		grown := er.Union(r)
 		var d float64
 		for j := range entries {
 			if j == feats[i].idx {
 				continue
 			}
-			d += grown.OverlapArea(entries[j].Rect) - entries[feats[i].idx].Rect.OverlapArea(entries[j].Rect)
+			d += grown.OverlapArea(entries[j].Rect) - er.OverlapArea(entries[j].Rect)
 		}
+		feats[i].dPeri = er.PerimeterIncrease(r)
 		feats[i].dOvlp = d
+		feats[i].occupancy = float64(n.ChildAt(feats[i].idx).NumEntries()) / float64(maxEntries)
 	}
 
 	// Normalize by the maxima over the shortlist so every dimension is in
@@ -160,6 +151,36 @@ func chooseStateInto(sc *chooseScratch, n *rtree.Node, r geom.Rect, k, maxEntrie
 		cc.State[4*i+3] = f.occupancy
 	}
 	return cc
+}
+
+// featureLess orders children by ΔArea, then by current MBR area.
+func featureLess(a, b *childFeature, areas []float64) bool {
+	if a.dArea != b.dArea {
+		return a.dArea < b.dArea
+	}
+	return areas[a.idx] < areas[b.idx]
+}
+
+// selectFeatures moves the keep smallest children by featureLess to the
+// front of feats, in the order a stable sort would put them. Only k of
+// about M children are kept, so this replaces a full sort: k times, move
+// the first minimum of the rest to the front, shifting the children it
+// passes one slot back. Taking the first of equal children and keeping
+// the others in order is what makes the prefix equal a stable sort's.
+func selectFeatures(feats []childFeature, areas []float64, keep int) {
+	for i := 0; i < keep; i++ {
+		m := i
+		for j := i + 1; j < len(feats); j++ {
+			if featureLess(&feats[j], &feats[m], areas) {
+				m = j
+			}
+		}
+		if m != i {
+			f := feats[m]
+			copy(feats[i+1:m+1], feats[i:m])
+			feats[i] = f
+		}
+	}
 }
 
 // splitCandidates describes the shortlisted splits of one overflowing node.

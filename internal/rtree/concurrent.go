@@ -14,8 +14,9 @@ import (
 // and writers never block readers. Mutations serialize through a plain
 // mutex and maintain two arenas left-right style (see epoch.go): apply
 // to the private write arena, publish it atomically, then catch the
-// retired arena up by replaying the same operation once its readers
-// drain. The cost is 2x arena memory and each mutation applied twice —
+// retired arena up once its readers drain — a single operation by
+// replaying it, a batch (Apply) by copying the published arena. The
+// cost is 2x arena memory and each single mutation applied twice —
 // microseconds against the lock handoff it deletes from every query.
 //
 // Mutation closures (Update) therefore run once per arena and must be
@@ -38,30 +39,99 @@ func NewConcurrent(t *Tree) *ConcurrentTree {
 	return c
 }
 
-// mutate is the single writer path: it applies op to the write arena,
-// publishes that arena as the new epoch, and replays op onto the retired
-// arena (after its readers drain) so both sides stay identical. op runs
-// exactly twice, once per arena, and must make the same structural
-// change to each — true for any deterministic function of the tree,
-// which both arenas are byte-identical instances of on entry.
+// Op is one mutation of a batch: insert Data at Rect, or, with Delete
+// set, remove the object stored under exactly (Rect, Data) — a no-op
+// when there is none.
+type Op struct {
+	Rect   geom.Rect
+	Data   any
+	Delete bool
+}
+
+// InsertOps returns the batch inserting data[i] at rects[i], in order.
+// rects and data must have equal length.
+func InsertOps(rects []geom.Rect, data []any) []Op {
+	if len(rects) != len(data) {
+		panic("rtree: InsertBatch length mismatch")
+	}
+	ops := make([]Op, len(rects))
+	for i, r := range rects {
+		ops[i] = Op{Rect: r, Data: data[i]}
+	}
+	return ops
+}
+
+// Apply runs ops in order, exactly as the same sequence of Insert and
+// Delete calls would, and returns how many Delete ops removed an object.
+func (t *Tree) Apply(ops []Op) (removed int) {
+	for _, op := range ops {
+		if !op.Delete {
+			t.Insert(op.Rect, op.Data)
+		} else if t.Delete(op.Rect, op.Data) {
+			removed++
+		}
+	}
+	return removed
+}
+
+// writeArena returns the private write arena. On the first mutation
+// since construction the published epoch still wraps the original
+// arena, which must stay frozen for its readers, so a private copy is
+// split off to write to. The caller holds c.mu.
+func (c *ConcurrentTree) writeArena() *Tree {
+	if cur := c.cur.Load(); cur.tree == c.write {
+		return cur.tree.Clone()
+	}
+	return c.write
+}
+
+// publish makes w the published epoch, waits out the readers pinned on
+// the epoch it replaces, and returns that epoch's arena — private to
+// the writer from then on, one batch behind w. The caller holds c.mu.
+func (c *ConcurrentTree) publish(w *Tree) *Tree {
+	old := c.cur.Swap(&epoch{tree: w}) // readers switch here
+	old.drain()
+	return old.tree
+}
+
+// mutate is the single-operation writer path: it applies op to the write
+// arena, publishes that arena as the new epoch, and replays op onto the
+// retired arena (after its readers drain) so both sides stay identical.
+// op runs exactly twice, once per arena, and must make the same
+// structural change to each — true for any deterministic function of
+// the tree, which both arenas are byte-identical instances of on entry.
 func (c *ConcurrentTree) mutate(op func(*Tree)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := c.write
-	if cur := c.cur.Load(); cur.tree == w {
-		// First mutation since construction: the published epoch still
-		// wraps the original arena, which must stay frozen for its
-		// readers. Split off a private copy to write to.
-		w = cur.tree.Clone()
-	}
+	w := c.writeArena()
 	op(w)
-	old := c.cur.Swap(&epoch{tree: w}) // publish: readers switch here
-	old.drain()                        // wait out readers pinned pre-swap
-	op(old.tree)                       // catch the retired arena up
-	c.write = old.tree
-	if c.write.size != w.size || c.write.height != w.height {
+	old := c.publish(w)
+	op(old) // catch the retired arena up
+	c.write = old
+	if old.size != w.size || old.height != w.height {
 		panic("rtree: concurrent mutation diverged between arenas (non-deterministic op?)")
 	}
+}
+
+// Apply runs ops in order as one atomic mutation — queries observe none
+// or all of the batch — publishing a single epoch. The ops run once: the
+// retired arena catches up by an arena copy (three slice copies and a
+// rebase, O(tree)) instead of re-running them, so a batch of at least a
+// few ops per stored object costs one application plus one copy where
+// single-op mutations cost two applications. It returns how many Delete
+// ops removed an object.
+func (c *ConcurrentTree) Apply(ops []Op) (removed int) {
+	if len(ops) == 0 {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.writeArena()
+	removed = w.Apply(ops)
+	old := c.publish(w)
+	old.SyncFrom(w)
+	c.write = old
+	return removed
 }
 
 // Insert adds an object, serialized with other mutations; concurrent
@@ -70,19 +140,11 @@ func (c *ConcurrentTree) Insert(r geom.Rect, data any) {
 	c.mutate(func(t *Tree) { t.Insert(r, data) })
 }
 
-// InsertBatch adds len(rects) objects as one atomic mutation — queries
-// observe none or all of the batch — publishing a single epoch for the
-// whole batch, the bulk ingest path of a serving workload. rects and
-// data must have equal length; data[i] is stored under rects[i].
+// InsertBatch adds len(rects) objects as one Apply: queries observe none
+// or all of the batch. rects and data must have equal length; data[i] is
+// stored under rects[i].
 func (c *ConcurrentTree) InsertBatch(rects []geom.Rect, data []any) {
-	if len(rects) != len(data) {
-		panic("rtree: InsertBatch length mismatch")
-	}
-	c.mutate(func(t *Tree) {
-		for i, r := range rects {
-			t.Insert(r, data[i])
-		}
-	})
+	c.Apply(InsertOps(rects, data))
 }
 
 // Delete removes an object, serialized with other mutations.

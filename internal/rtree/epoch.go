@@ -13,11 +13,13 @@ import (
 // only the (mutex-serialized) writers touch. A mutation applies itself
 // to the write arena, publishes it as the new epoch with one atomic
 // swap, waits for the readers still pinned on the previous epoch to
-// drain, and then replays the same operation onto the retired arena —
-// which becomes the next write arena. Both arenas therefore see the
-// exact same insert/delete sequence, and because the arena makes tree
-// structure a deterministic function of that sequence (DESIGN.md §9),
-// they stay byte-identical under the canonical v2 encoding.
+// drain, and then catches the retired arena up — which becomes the next
+// write arena. A single operation is replayed onto it: both arenas see
+// the exact same insert/delete sequence, and because the arena makes
+// tree structure a deterministic function of that sequence (DESIGN.md
+// §9), they stay byte-identical under the canonical v2 encoding. A
+// batch (Apply) is copied instead, which is byte-identical by
+// construction and costs O(tree) rather than the batch a second time.
 //
 // Readers never take a lock: pinning is one atomic load plus a
 // reference-count increment, re-validated against the published pointer

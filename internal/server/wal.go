@@ -107,25 +107,42 @@ func (s *Server) appendDelKey(key string) (bool, error) {
 // over the restored index and pass the same instance to
 // Config.Collection. Recover must run before the server
 // starts handling requests.
+//
+// Records are applied in batches through coll.ApplyLog, which leaves
+// every tree exactly as record-at-a-time Set and Del calls would. A
+// batch holds at most as many records as the collection has held live
+// objects at any point of the recovery, counting the restored ones (at
+// least one). A tree's arena never shrinks, so it holds about that
+// many objects however many have since been deleted: the index's
+// arena catch-up copy per batch costs about one object per record in
+// each shard the batch touches, and the buffer never outgrows the
+// arenas. The returned Duration covers the scan and the apply.
 func Recover(w *wal.WAL, afterLSN uint64, coll *collection.Collection, logf func(format string, args ...any)) (wal.ReplayStats, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	epochWarned := false
-	return w.Replay(afterLSN, func(rec wal.Record) error {
+	var batch []collection.LogOp
+	limit := max(1, coll.Len())
+	flush := func() error {
+		coll.ApplyLog(batch)
+		clear(batch)
+		batch = batch[:0]
+		limit = max(limit, coll.Len())
+		return nil
+	}
+	return w.ReplayBuffered(afterLSN, func(rec wal.Record) error {
 		if rec.Epoch != w.Epoch() && !epochWarned {
 			logf("wal: record LSN %d has routing epoch %d, server runs epoch %d (records re-route dynamically; this is informational)",
 				rec.LSN, rec.Epoch, w.Epoch())
 			epochWarned = true
 		}
-		switch rec.Type {
-		case wal.RecSet:
-			coll.Set(rec.Key, rec.Rect)
-		case wal.RecDelKey:
-			coll.Del(rec.Key)
+		batch = append(batch, collection.LogOp{Key: rec.Key, Rect: rec.Rect, Del: rec.Type == wal.RecDelKey})
+		if len(batch) >= limit {
+			return flush()
 		}
 		return nil
-	})
+	}, flush)
 }
 
 // walStatsPayload is the "wal" section of /stats (and the expvar

@@ -111,12 +111,12 @@ func (b *boundsIndex) growShard(si int, r geom.Rect, n int64) {
 	b.aggMu[si].Unlock()
 }
 
-// shrinkShard uncounts one object from shard si's aggregate, resetting
+// shrinkShard uncounts n objects from shard si's aggregate, resetting
 // it to empty when the shard empties.
-func (b *boundsIndex) shrinkShard(si int) {
+func (b *boundsIndex) shrinkShard(si int, n int64) {
 	b.aggMu[si].Lock()
 	old := b.agg[si].Load()
-	nb := &shardBounds{count: old.count - 1, rect: old.rect}
+	nb := &shardBounds{count: old.count - n, rect: old.rect}
 	if nb.count == 0 {
 		nb.rect = geom.Rect{}
 	} else if nb.count < 0 {

@@ -158,59 +158,101 @@ func (s *ShardedTree) Insert(r geom.Rect, data any) {
 	s.shards[si].Insert(r, data)
 }
 
-// InsertBatch partitions the batch by shard and inserts each group as
-// one atomic mutation of its shard (a single epoch publication), the
-// groups in parallel. rects and data must have equal length.
+// InsertBatch inserts data[i] at rects[i] as one Apply. rects and data
+// must have equal length.
 func (s *ShardedTree) InsertBatch(rects []geom.Rect, data []any) {
-	if len(rects) != len(data) {
-		panic("shard: InsertBatch length mismatch")
+	s.Apply(rtree.InsertOps(rects, data))
+}
+
+// Apply routes each op by its center and applies each shard's ops, in
+// batch order, as one rtree Apply of that shard (a single epoch
+// publication), the shards in parallel. Ops on different shards
+// commute, so every shard's tree ends exactly as the same Insert and
+// Delete calls made one at a time would leave it. Every Delete op must
+// name a stored object, or one an earlier op of the batch inserts: the
+// bounds count each delete as a removal, and Apply panics when a shard
+// removed fewer objects than it was sent deletes.
+//
+// Bounds stay conservative: the cell and shard bounds grow for every
+// insert before any shard publishes and shrink for the deletes after
+// every shard has published. A cell that empties and refills within the
+// batch therefore keeps its grown rect where one-at-a-time calls would
+// have reset it — the bounds may be looser than sequential calls leave
+// them, never tighter.
+func (s *ShardedTree) Apply(ops []rtree.Op) int {
+	if len(ops) == 0 {
+		return 0
 	}
-	if len(rects) == 0 {
-		return
-	}
-	if len(s.shards) == 1 {
-		var u geom.Rect
-		for i, r := range rects {
-			c := s.router.Cell(r)
-			s.bounds.growCell(c, r)
-			if i == 0 {
-				u = r
-			} else {
-				u = u.Union(r)
-			}
-		}
-		s.bounds.growShard(0, u, int64(len(rects)))
-		s.shards[0].InsertBatch(rects, data)
-		return
-	}
-	groupRects := make([][]geom.Rect, len(s.shards))
-	groupData := make([][]any, len(s.shards))
-	groupRect := make([]geom.Rect, len(s.shards))
-	for i, r := range rects {
-		c := s.router.Cell(r)
+	n := len(s.shards)
+	dels := make([]int, n)
+	adds := make([]int64, n)
+	grown := make([]geom.Rect, n)
+	cells := make([]int32, len(ops))
+	for i, op := range ops {
+		c := s.router.Cell(op.Rect)
 		si := s.router.CellShard(c)
-		s.bounds.growCell(c, r)
-		if len(groupRects[si]) == 0 {
-			groupRect[si] = r
-		} else {
-			groupRect[si] = groupRect[si].Union(r)
-		}
-		groupRects[si] = append(groupRects[si], r)
-		groupData[si] = append(groupData[si], data[i])
-	}
-	var wg sync.WaitGroup
-	for si := range s.shards {
-		if len(groupRects[si]) == 0 {
+		cells[i] = int32(c)
+		if op.Delete {
+			dels[si]++
 			continue
 		}
-		s.bounds.growShard(si, groupRect[si], int64(len(groupRects[si])))
+		s.bounds.growCell(c, op.Rect)
+		if adds[si] == 0 {
+			grown[si] = op.Rect
+		} else {
+			grown[si] = grown[si].Union(op.Rect)
+		}
+		adds[si]++
+	}
+
+	// Partition into per-shard runs of one backing array, keeping each
+	// shard's ops in batch order.
+	groups := make([][]rtree.Op, n)
+	buf := make([]rtree.Op, len(ops))
+	for si := range groups {
+		size := dels[si] + int(adds[si])
+		groups[si], buf = buf[:0:size], buf[size:]
+	}
+	for i, op := range ops {
+		si := s.router.CellShard(int(cells[i]))
+		groups[si] = append(groups[si], op)
+	}
+
+	removed := make([]int, n)
+	var wg sync.WaitGroup
+	for si, g := range groups {
+		if len(g) == 0 {
+			continue
+		}
+		if adds[si] > 0 {
+			s.bounds.growShard(si, grown[si], adds[si])
+		}
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			s.shards[si].InsertBatch(groupRects[si], groupData[si])
+			removed[si] = s.shards[si].Apply(groups[si])
 		}(si)
 	}
 	wg.Wait()
+
+	total := 0
+	for si := range removed {
+		if removed[si] != dels[si] {
+			panic(fmt.Sprintf("shard: Apply sent shard %d %d deletes but it removed %d objects: a Delete op named an absent object", si, dels[si], removed[si]))
+		}
+		total += removed[si]
+	}
+	for i, op := range ops {
+		if op.Delete {
+			s.bounds.shrinkCell(int(cells[i]))
+		}
+	}
+	for si, d := range dels {
+		if d > 0 {
+			s.bounds.shrinkShard(si, int64(d))
+		}
+	}
+	return total
 }
 
 // Delete routes by the rectangle's center — the same function Insert
@@ -225,7 +267,7 @@ func (s *ShardedTree) Delete(r geom.Rect, data any) bool {
 	ok := s.shards[si].Delete(r, data)
 	if ok {
 		s.bounds.shrinkCell(c)
-		s.bounds.shrinkShard(si)
+		s.bounds.shrinkShard(si, 1)
 	}
 	return ok
 }

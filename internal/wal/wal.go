@@ -123,7 +123,7 @@ type Metrics struct {
 	Segments        int           `json:"segments"`
 	LastLSN         uint64        `json:"last_lsn"`
 	ReplayRecords   int64         `json:"replay_records"`
-	ReplayDuration  time.Duration `json:"replay_duration_ns"`
+	ReplayDuration  time.Duration `json:"replay_duration_ns"` // scan plus apply, as ReplayStats.Duration
 }
 
 // WAL is a segmented write-ahead log open for appending. All methods are
@@ -590,12 +590,22 @@ func (w *WAL) LastLSN() uint64 {
 // Replay feeds every surviving record with LSN > afterLSN to apply, in
 // LSN order — the recovery path after restoring a snapshot that covers
 // afterLSN. Open has already truncated any torn tail and refused a log
-// holding an undecodable record, so Replay sees a clean record run; Replay itself fails when the surviving segments do
-// not reach back to afterLSN, so a snapshot/segment mismatch surfaces
-// at startup instead of being masked. Replay must run before concurrent appends begin
+// holding an undecodable record, so Replay sees a clean record run;
+// Replay itself fails when the surviving segments do not reach back to
+// afterLSN, so a snapshot/segment mismatch surfaces at startup instead
+// of being masked. Replay must run before concurrent appends begin
 // (recovery happens before serving starts); records appended by this
 // process are not replayed to it.
 func (w *WAL) Replay(afterLSN uint64, apply func(Record) error) (ReplayStats, error) {
+	return w.ReplayBuffered(afterLSN, apply, nil)
+}
+
+// ReplayBuffered is Replay for a consumer that buffers records: apply
+// may hold records back and apply them in batches, and flush, when
+// non-nil, runs once after the last record to apply what is still
+// held. The returned Duration and the log's replay metrics cover the
+// scan, every apply and the flush.
+func (w *WAL) ReplayBuffered(afterLSN uint64, apply func(Record) error, flush func() error) (ReplayStats, error) {
 	start := time.Now()
 	var stats ReplayStats
 	w.mu.Lock()
@@ -635,6 +645,11 @@ func (w *WAL) Replay(afterLSN uint64, apply func(Record) error) (ReplayStats, er
 		}
 		stats.SegmentsScanned++
 	}
+	if flush != nil {
+		if err := flush(); err != nil {
+			return stats, err
+		}
+	}
 	stats.Duration = time.Since(start)
 	stats.LastLSN = last
 	w.mu.Lock()
@@ -652,7 +667,7 @@ type ReplayStats struct {
 	SegmentsScanned int
 	SegmentsSkipped int
 	LastLSN         uint64
-	Duration        time.Duration
+	Duration        time.Duration // scan plus apply, a buffering consumer's flush included
 }
 
 // Retire removes segments whose every record is covered by a durable

@@ -210,7 +210,9 @@ func PolicyKinds() []string { return append([]string(nil), core.PolicyKinds...) 
 // read path: queries load the currently published epoch (an immutable
 // snapshot) through an atomic pointer and take no lock at all, while
 // mutations serialize through a writer mutex and publish a new epoch
-// left-right style; InsertBatch publishes one epoch for a whole batch.
+// left-right style. InsertBatch runs a batch once and publishes one
+// epoch for all of it, catching the other arena up by copy; a single
+// Insert or Delete runs once per arena.
 // Readers never block writers and writers never block readers. It is
 // the index type the HTTP serving layer (internal/server, cmd/rlr-serve)
 // puts on the network.
